@@ -1,9 +1,8 @@
 // Front-end dispatch ablation: every dispatch strategy (general pipeline,
-// stable counting/radix, unstable counting — plus the adaptive selector) on
-// the paper's Table 1 distributions, in both key forms: pre-hashed (the
-// paper's inputs — the domain probe must reject and fall back) and raw
-// underlying keys (small dense integer domains — the counting paths' home
-// turf). Each run emits an order-insensitive output checksum so
+// stable counting/radix — plus the adaptive selector) on the paper's
+// Table 1 distributions, in both key forms: pre-hashed (the paper's inputs
+// — the domain probe must reject and fall back) and raw underlying keys
+// (small dense integer domains — the counting path's home turf). Each run emits an order-insensitive output checksum so
 // scripts/bench_compare.py can prove the paths are interchangeable, not
 // just fast.
 //
@@ -52,7 +51,7 @@ int main(int argc, char** argv) {
   std::string key_filter = args.get_string("keys", "");
   bool scale = !args.has("noscale");
 
-  print_context("Ablation: front-end dispatch (general / counting / unstable)",
+  print_context("Ablation: front-end dispatch (general / counting / adaptive)",
                 n);
 
   struct path_case {
@@ -62,7 +61,6 @@ int main(int argc, char** argv) {
   constexpr path_case kPaths[] = {
       {semisort_params::dispatch_strategy::general, "general"},
       {semisort_params::dispatch_strategy::counting, "counting"},
-      {semisort_params::dispatch_strategy::unstable, "unstable"},
       {semisort_params::dispatch_strategy::adaptive, "adaptive"},
   };
   constexpr const char* kKeyForms[] = {"hashed", "raw"};
@@ -141,7 +139,7 @@ int main(int argc, char** argv) {
       "(distribution, keys) column (the paths are interchangeable). On\n"
       "hashed keys every strategy falls back to the general pipeline (the\n"
       "probe rejects 64-bit hash values). On raw keys with small dense\n"
-      "domains the counting paths skip sampling/bucketing entirely and\n"
+      "domains the counting path skips sampling/bucketing entirely and\n"
       "should beat general; wide or sparse raw domains fall back.\n");
   return 0;
 }

@@ -1,14 +1,14 @@
-// Scatter-engine ablation: every scatter path (CAS/linear-probe, buffered
-// write-combining, blocked two-pass counting — plus the adaptive selector)
-// on the paper's Table 1 distributions, with an order-insensitive output
-// checksum per run so scripts/bench_compare.py can prove the paths are
-// interchangeable, not just fast.
+// Scatter-engine ablation: both scatter paths (the paper's CAS/linear-probe
+// scatter and the default blocked two-pass counting) on the paper's Table 1
+// distributions, with an order-insensitive output checksum per run so
+// scripts/bench_compare.py can prove the paths are interchangeable, not
+// just fast.
 //
 // Default here: n = 10^7 (pass --n 100000000 for paper scale); parameters
 // are scaled by n/1e8 like table1_distributions. Use --dist <substring> to
 // restrict the sweep, --threads for the worker count. Emits
 // BENCH_ablation_scatter_paths.json with the per-path telemetry (probe
-// histogram on CAS, flush histogram on buffered, atomics saved on blocked).
+// histogram on CAS).
 #include "common.h"
 
 namespace {
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   std::string dist_filter = args.get_string("dist", "");
   bool scale = !args.has("noscale");
 
-  print_context("Ablation: scatter paths (cas / buffered / blocked)", n);
+  print_context("Ablation: scatter paths (cas / blocked)", n);
 
   struct path_case {
     semisort_params::scatter_strategy strategy;
@@ -57,9 +57,7 @@ int main(int argc, char** argv) {
   };
   constexpr path_case kPaths[] = {
       {semisort_params::scatter_strategy::cas, "cas"},
-      {semisort_params::scatter_strategy::buffered, "buffered"},
       {semisort_params::scatter_strategy::blocked, "blocked"},
-      {semisort_params::scatter_strategy::adaptive, "adaptive"},
   };
 
   // One arena across the whole sweep: after the first run per size the
@@ -125,9 +123,8 @@ int main(int argc, char** argv) {
   json.write();
   std::printf(
       "expected shape: checksum and key_runs identical down each\n"
-      "distribution's column (the paths are interchangeable); blocked wins\n"
-      "on small-bucket-count inputs (contention-free, sequential writes),\n"
-      "buffered wins at moderate bucket counts (combined writes, ~1 atomic\n"
-      "per flushed chunk), CAS is the fallback for huge bucket counts.\n");
+      "distribution's column (the paths are interchangeable); blocked\n"
+      "(contention-free, sequential writes, the default) beats the paper's\n"
+      "CAS scatter (one atomic and one random miss per record).\n");
   return 0;
 }

@@ -248,8 +248,7 @@ class bench_json {
     }
     // Nested metric map, built with the same field API. An empty map
     // renders as `{}` — valid JSON — so path-conditional metric groups
-    // (probe stats on the CAS path, flush stats on the buffered path) can
-    // be emitted unconditionally.
+    // (probe stats on the CAS path) can be emitted unconditionally.
     row& field_object(const char* key, const row& obj) {
       add_key(key);
       body_ += '{';
@@ -258,9 +257,9 @@ class bench_json {
       return *this;
     }
     // The memory plan and scatter telemetry of one semisort run. The probe
-    // and flush metric maps are emitted only for the path they describe
-    // (empty `{}` otherwise), keeping the table2/table3 breakdown sidecars
-    // meaningful whatever path the run selected.
+    // metric map is emitted only on the CAS path it describes (empty `{}`
+    // otherwise), keeping the table2/table3 breakdown sidecars meaningful
+    // whatever path the run selected.
     row& stats(const semisort_stats& s) {
       field("restarts", s.restarts);
       field("peak_scratch_bytes", s.peak_scratch_bytes);
@@ -268,7 +267,6 @@ class bench_json {
       field("scratch_capacity_bytes", s.scratch_capacity_bytes);
       field("slots_per_record", s.slots_per_record());
       field("scatter_path", std::string(to_string(s.scatter_path_used)));
-      field("scatter_atomics_saved", s.scatter_atomics_saved);
       field("dispatch_path", std::string(to_string(s.dispatch_path_used)));
       // Execution-model telemetry: a non-zero fallback count means the run
       // was silently serialized (foreign caller, no pool routing).
@@ -283,16 +281,6 @@ class bench_json {
                           s.probe_hist.size());
       }
       field_object("probe", probe);
-      row buffered;
-      if (s.scatter_path_used == scatter_path::buffered) {
-        buffered.field("flushes", s.scatter_flushes);
-        buffered.field("chunk_claims", s.scatter_chunk_claims);
-        buffered.field("bytes_staged", s.scatter_bytes_staged);
-        buffered.field("mean_flush_records", s.mean_flush_records());
-        buffered.field_array("flush_hist", s.flush_hist.data(),
-                             s.flush_hist.size());
-      }
-      field_object("buffered", buffered);
       // Out-of-core telemetry: emitted whenever the run went through the
       // budget-aware front door (shards >= 1); `{}` for legacy stats that
       // never saw the shard driver.
@@ -315,7 +303,7 @@ class bench_json {
       // Mirrors the flat legacy keys (scatter_path, dispatch_path,
       // key_domain_width, shard.shards) as nested plan{} and adds the
       // plan-only facts: probe accounting (the single-probe contract),
-      // reuse, the predicted bucket count, and the spill-overlap decision
+      // reuse, and the spill-overlap decision
       // plus how many prefetches actually overlapped.
       row plan_obj;
       plan_obj.field("reused", s.plan.reused ? 1 : 0);
@@ -324,7 +312,6 @@ class bench_json {
       plan_obj.field("dispatch_path", std::string(to_string(s.plan.dispatch)));
       plan_obj.field("scatter_path", std::string(to_string(s.plan.scatter)));
       plan_obj.field("key_domain_width", s.plan.key_domain_width);
-      plan_obj.field("predicted_buckets", s.plan.predicted_buckets);
       plan_obj.field("shards", s.plan.shards);
       plan_obj.field("memory_budget", s.plan.memory_budget);
       plan_obj.field("overlap_io", s.plan.overlap_io ? 1 : 0);

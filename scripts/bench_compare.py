@@ -68,11 +68,11 @@ import subprocess
 import sys
 import tempfile
 
-EXPECTED_PATHS = {"cas", "buffered", "blocked", "adaptive"}
-VALID_USED = {"cas", "buffered", "blocked"}
+EXPECTED_PATHS = {"cas", "blocked"}
+VALID_USED = {"cas", "blocked"}
 
-EXPECTED_DISPATCH = {"general", "counting", "unstable", "adaptive"}
-VALID_DISPATCH_USED = {"general", "counting", "unstable", "offsets"}
+EXPECTED_DISPATCH = {"general", "counting", "adaptive"}
+VALID_DISPATCH_USED = {"general", "counting", "offsets"}
 
 
 def _refuse_constant(name):
@@ -197,7 +197,7 @@ def check_throughput(doc):
 
 def check_dispatch(doc):
     """The dispatch-ablation invariants: per (distribution, keys) group all
-    four requested strategies ran, every row's checksum/key_runs match the
+    three requested strategies ran, every row's checksum/key_runs match the
     forced-general baseline, hashed-key rows never report a fast path
     (except the degenerate single-key input, where one distinct hash value
     IS a dense domain of width 1), and at least one raw-key row reports the

@@ -29,8 +29,7 @@ def make_row(dist="uniform", requested="cas", used=None, checksum="deadbeef",
     return {
         "distribution": dist,
         "path_requested": requested,
-        "scatter_path": used if used is not None else
-            (requested if requested != "adaptive" else "buffered"),
+        "scatter_path": used if used is not None else requested,
         "checksum": checksum,
         "key_runs": key_runs,
         "millis": 1.25,
@@ -83,17 +82,17 @@ class CheckAgreement(unittest.TestCase):
     def test_missing_path_fails(self):
         doc = make_doc(dists=("uniform",))
         doc["rows"] = [r for r in doc["rows"]
-                       if r["path_requested"] != "buffered"]
+                       if r["path_requested"] != "blocked"]
         ok, err = run_check(doc)
         self.assertFalse(ok)
-        self.assertIn("buffered", err)
+        self.assertIn("blocked", err)
         self.assertIn("never ran", err)
 
     def test_mismatch_in_one_distribution_does_not_hide_in_another(self):
         doc = make_doc(dists=("uniform", "zipf"))
         for row in doc["rows"]:
             if row["distribution"] == "zipf" and \
-                    row["path_requested"] == "adaptive":
+                    row["path_requested"] == "blocked":
                 row["checksum"] = "f00"
         ok, err = run_check(doc)
         self.assertFalse(ok)
@@ -116,14 +115,6 @@ class CheckRowValidity(unittest.TestCase):
         ok, err = run_check(doc)
         self.assertFalse(ok)
         self.assertIn("warp_drive", err)
-
-    def test_adaptive_must_resolve_to_a_concrete_path(self):
-        doc = make_doc(dists=("uniform",))
-        for row in doc["rows"]:
-            if row["path_requested"] == "adaptive":
-                row["scatter_path"] = "adaptive"  # writer failed to resolve
-        ok, _ = run_check(doc)
-        self.assertFalse(ok)
 
     def test_null_metric_does_not_crash_check(self):
         # Extra metric fields may be null/absent; check() must not trip on
@@ -221,8 +212,6 @@ def make_dispatch_row(dist="uniform", keys="raw", requested="general",
             used = "general"
         elif requested == "general":
             used = "general"
-        elif requested == "unstable":
-            used = "unstable"
         else:  # counting / adaptive on raw dense keys
             used = "counting"
     return {
@@ -269,11 +258,11 @@ class CheckDispatch(unittest.TestCase):
     def test_checksum_mismatch_fails_and_names_the_strategy(self):
         doc = make_dispatch_doc(dists=("uniform",), key_forms=("raw",))
         for row in doc["rows"]:
-            if row["path_requested"] == "unstable":
+            if row["path_requested"] == "adaptive":
                 row["checksum"] = "0badf00d"
         ok, err = run_check(doc)
         self.assertFalse(ok)
-        self.assertIn("unstable", err)
+        self.assertIn("adaptive", err)
         self.assertIn("checksum", err)
 
     def test_key_runs_mismatch_fails(self):
@@ -326,9 +315,7 @@ class CheckDispatch(unittest.TestCase):
         # the ablation proved nothing about the fast path.
         doc = make_dispatch_doc(dists=("uniform",), key_forms=("raw",))
         for row in doc["rows"]:
-            row["dispatch_path"] = ("unstable"
-                                    if row["path_requested"] == "unstable"
-                                    else "general")
+            row["dispatch_path"] = "general"
         ok, err = run_check(doc)
         self.assertFalse(ok)
         self.assertIn("never exercised", err)
@@ -769,7 +756,6 @@ def make_plan_obj(reused=0, probe_passes=1, probe_records=1000,
         "dispatch_path": dispatch,
         "scatter_path": scatter,
         "key_domain_width": 0,
-        "predicted_buckets": 130,
         "shards": shards,
         "memory_budget": 0,
         "overlap_io": overlap_io,
@@ -994,7 +980,7 @@ class CliJsonStrictness(unittest.TestCase):
 
     def test_checksum_mismatch_exits_nonzero(self):
         doc = make_doc(dists=("uniform",))
-        doc["rows"][2]["checksum"] = "feedface"
+        doc["rows"][-1]["checksum"] = "feedface"
         res = self.run_cli(json.dumps(doc))
         self.assertEqual(res.returncode, 1, res.stderr)
 

@@ -37,7 +37,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -78,21 +77,6 @@ class arena {
                   std::is_trivially_destructible_v<T>);
     static_assert(alignof(T) <= kAlignment);
     return reinterpret_cast<T*>(alloc_bytes(count * sizeof(T)));
-  }
-
-  // alloc() with the result aligned to `align` bytes (a power of two —
-  // above kAlignment the slack is over-allocated and the pointer rounded
-  // up). The scatter engine cache-line-aligns its write buffers this way.
-  template <typename T>
-  T* alloc_aligned(size_t count, size_t align) {
-    static_assert(std::is_trivially_default_constructible_v<T> &&
-                  std::is_trivially_destructible_v<T>);
-    static_assert(alignof(T) <= kAlignment);
-    if (align <= kAlignment) return alloc<T>(count);
-    std::byte* p = alloc_bytes(count * sizeof(T) + align - kAlignment);
-    uintptr_t v = reinterpret_cast<uintptr_t>(p);
-    v = (v + align - 1) & ~(static_cast<uintptr_t>(align) - 1);
-    return reinterpret_cast<T*>(v);
   }
 
   checkpoint mark() const {

@@ -8,10 +8,6 @@
 //     passes up to 2^32 (Dong et al. 2024's playbook). No sampling, no
 //     hashing, no Las-Vegas retry — and the output is fully sorted,
 //     stable, and byte-identical at every worker count.
-//   * unstable — counting placement that skips within-group order
-//     maintenance (Wu et al. 2023's unstable interface): O(width)
-//     auxiliary state and one atomic slot claim per record, for callers
-//     that only need equal keys contiguous.
 //   * offsets — offset-only result shapes that never move a record
 //     (count_by_key's histogram path below; group_by_index's index-only
 //     counting sort).
@@ -20,7 +16,7 @@
 // the PARSEMI_DISPATCH_PATH environment variable beats
 // semisort_params::dispatch_with beats the adaptive default, and the path
 // actually taken is recorded in semisort_stats::dispatch_path_used. A
-// forced counting/unstable request whose key domain turns out ineligible
+// forced counting request whose key domain turns out ineligible
 // falls back to the general pipeline — recorded as general with
 // key_domain_width == 0, never a wrong answer.
 //
@@ -41,7 +37,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <utility>
 
@@ -57,34 +52,19 @@
 namespace parsemi {
 namespace internal {
 
-// PARSEMI_DISPATCH_PATH override — same contract as PARSEMI_SCATTER_PATH:
-// "general" / "counting" / "unstable" force that strategy; "adaptive" and
-// unknown values fall through to the params knob. env_cstr never
-// allocates, so the per-call check keeps the zero-heap steady state.
-inline bool dispatch_strategy_from_env(
-    semisort_params::dispatch_strategy& out) {
-  const char* v = env_cstr("PARSEMI_DISPATCH_PATH");
-  if (v == nullptr) return false;
-  if (std::strcmp(v, "general") == 0) {
-    out = semisort_params::dispatch_strategy::general;
-    return true;
-  }
-  if (std::strcmp(v, "counting") == 0) {
-    out = semisort_params::dispatch_strategy::counting;
-    return true;
-  }
-  if (std::strcmp(v, "unstable") == 0) {
-    out = semisort_params::dispatch_strategy::unstable;
-    return true;
-  }
-  return false;
-}
+// PARSEMI_DISPATCH_PATH values — same contract as PARSEMI_SCATTER_PATH:
+// "general" / "counting" force that strategy; "adaptive" and unknown
+// values fall through to the params knob.
+inline constexpr env_choice<semisort_params::dispatch_strategy>
+    kDispatchPathEnv[] = {
+        {"general", semisort_params::dispatch_strategy::general},
+        {"counting", semisort_params::dispatch_strategy::counting},
+};
 
 inline semisort_params::dispatch_strategy resolve_dispatch_strategy(
     const semisort_params& params) {
-  semisort_params::dispatch_strategy forced;
-  if (dispatch_strategy_from_env(forced)) return forced;
-  return params.dispatch_with;
+  return env_override("PARSEMI_DISPATCH_PATH", kDispatchPathEnv,
+                      params.dispatch_with);
 }
 
 // Stable blocked counting placement over `width` buckets: per-block
@@ -119,47 +99,6 @@ void counting_place_stable(size_t n, size_t width, BucketAt&& bucket_at,
   parallel_for_blocks(n, block, [&](size_t b, size_t lo, size_t hi) {
     size_t* cursor = counts + b * width;
     for (size_t i = lo; i < hi; ++i) place(i, cursor[bucket_at(i)]++);
-  });
-}
-
-// Unstable counting placement: O(width) auxiliary state instead of the
-// blocked count matrix, one pass shape for every eligible width. Each
-// record costs two relaxed fetch_adds; within-group order is whatever the
-// claim race produced (the groups themselves are exact).
-template <typename BucketAt, typename PlaceFn>
-void counting_place_unstable(size_t n, size_t width, BucketAt&& bucket_at,
-                             PlaceFn&& place, pipeline_context& ctx) {
-  arena_scope scope(ctx.scratch);
-  std::span<size_t> offsets(ctx.scratch.alloc<size_t>(width), width);
-  parallel_for_blocks(width, scan_block_size(width),
-                      [&](size_t, size_t lo, size_t hi) {
-                        std::fill(offsets.begin() + static_cast<ptrdiff_t>(lo),
-                                  offsets.begin() + static_cast<ptrdiff_t>(hi),
-                                  size_t{0});
-                      });
-  size_t block = scan_block_size(n);
-  // Count pass: relaxed suffices — the counters are the only shared state
-  // and the fork-join barrier orders every increment before the scan below
-  // reads them.
-  parallel_for_blocks(n, block, [&](size_t, size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      std::atomic_ref<size_t>(offsets[bucket_at(i)])
-          .fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  size_t scan_blocks = scan_num_blocks(width);
-  std::span<size_t> scan_scratch(ctx.scratch.alloc<size_t>(scan_blocks),
-                                 scan_blocks);
-  scan_exclusive_inplace(offsets, size_t{0}, scan_scratch);
-  // Claim pass: one relaxed fetch_add per record hands it a slot no other
-  // record gets — uniqueness is all placement needs, and the join
-  // publishes the placed stores to the caller.
-  parallel_for_blocks(n, block, [&](size_t, size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      size_t pos = std::atomic_ref<size_t>(offsets[bucket_at(i)])
-                       .fetch_add(1, std::memory_order_relaxed);
-      place(i, pos);
-    }
   });
 }
 
@@ -223,43 +162,6 @@ void counting_semisort(std::span<const Record> in, std::span<Record> out,
     st.dispatch_path_used = dispatch_path::counting;
     st.key_domain_width = static_cast<size_t>(dom.width);
     st.counting_passes = passes;
-  }
-}
-
-// Unstable counting semisort: same grouping contract minus within-group
-// order. Single pass at every eligible width (the O(width) offset array
-// stays ≤ 16n bytes by the density bound).
-template <typename Record, typename GetKey>
-void unstable_counting_semisort(std::span<const Record> in,
-                                std::span<Record> out, GetKey&& get_key,
-                                const key_domain& dom,
-                                const semisort_params& params, bool aliased,
-                                pipeline_context& ctx) {
-  size_t n = in.size();
-  phase_timer* pt = params.timings;
-  if (pt != nullptr) pt->start();
-  arena_scope frame(ctx.scratch);
-  uint64_t min = dom.min;
-  std::span<Record> dst = out;
-  if (aliased) dst = std::span<Record>(ctx.scratch.alloc<Record>(n), n);
-  counting_place_unstable(
-      n, static_cast<size_t>(dom.width),
-      [&](size_t i) { return static_cast<size_t>(get_key(in[i]) - min); },
-      [&](size_t i, size_t pos) { dst[pos] = in[i]; }, ctx);
-  if (pt != nullptr) pt->record("dispatch count place");
-  if (aliased) {
-    parallel_for_blocks(n, scan_block_size(n),
-                        [&](size_t, size_t lo, size_t hi) {
-                          for (size_t i = lo; i < hi; ++i) out[i] = dst[i];
-                        });
-    if (pt != nullptr) pt->record("dispatch copy back");
-  }
-  if (params.stats != nullptr) {
-    semisort_stats& st = *params.stats;
-    st.n = n;
-    st.dispatch_path_used = dispatch_path::unstable;
-    st.key_domain_width = static_cast<size_t>(dom.width);
-    st.counting_passes = 1;
   }
 }
 
@@ -345,9 +247,8 @@ bool try_dispatch_count_by_key(std::span<const K> keys, Result& out,
 // Dense fast path for group_by_index: a counting sort of the *indices* —
 // the records themselves never move, matching the operator's contract.
 // `Result` is grouped_indices (core/group_by.h; templated to keep this
-// header below it in the include graph). Stable placement under the
-// counting strategies (order within a group = input order), atomic-claim
-// placement under unstable. Returns true when handled.
+// header below it in the include graph). Stable placement (order within a
+// group = input order). Returns true when handled.
 template <typename Record, typename GetKey, typename Result>
 bool try_dispatch_group_by_index(std::span<const Record> in, GetKey&& get_key,
                                  const semisort_params& params, Result& result,
@@ -370,12 +271,7 @@ bool try_dispatch_group_by_index(std::span<const Record> in, GetKey&& get_key,
   result.order.resize(n);
   std::span<size_t> order(result.order.data(), n);
   size_t passes = 1;
-  if (s == strategy::unstable) {
-    counting_place_unstable(
-        n, static_cast<size_t>(dom.width),
-        [&](size_t i) { return static_cast<size_t>(get_key(in[i]) - min); },
-        [&](size_t i, size_t pos) { order[pos] = i; }, ctx);
-  } else if (dom.width <= kCountingOnePassMaxWidth) {
+  if (dom.width <= kCountingOnePassMaxWidth) {
     counting_place_stable(
         n, static_cast<size_t>(dom.width),
         [&](size_t i) { return static_cast<size_t>(get_key(in[i]) - min); },
@@ -410,10 +306,9 @@ bool try_dispatch_group_by_index(std::span<const Record> in, GetKey&& get_key,
   if (params.stats != nullptr) {
     semisort_stats& st = *params.stats;
     st.n = n;
-    st.dispatch_path_used = s == strategy::unstable ? dispatch_path::unstable
-                                                    : dispatch_path::counting;
+    st.dispatch_path_used = dispatch_path::counting;
     st.key_domain_width = static_cast<size_t>(dom.width);
-    st.counting_passes = s == strategy::unstable ? 1 : passes;
+    st.counting_passes = passes;
   }
   return true;
 }

@@ -60,13 +60,10 @@ struct semisort_plan {
   uint64_t domain_width = 0;  // meaningful only when domain_dense
   size_t counting_passes = 0; // 1 = one-pass counting, 2 = two radix passes
 
-  // --- scatter decision (general pipeline only) ---
-  // Decided from the *predicted* bucket count — n·p / light_bucket_samples
-  // merged light buckets, capped at num_hash_ranges — so the plan needs no
-  // extra scan. Forced strategies (params / PARSEMI_SCATTER_PATH / random
-  // probing) land here verbatim.
+  // --- scatter decision (general pipeline and sharded route) ---
+  // A function of params and PARSEMI_SCATTER_PATH alone
+  // (choose_scatter_path in core/scatter.h), so the plan needs no scan.
   scatter_path scatter = scatter_path::cas;
-  size_t predicted_buckets = 0;
 
   // --- memory budget + shard layout (shard/shard_plan.h) ---
   size_t memory_budget = 0;  // resolved bytes; 0 = unlimited
@@ -121,7 +118,6 @@ struct semisort_plan {
     }
     kv_u("counting_passes", counting_passes);
     kv_s("scatter", to_string(scatter));
-    kv_u("predicted_buckets", predicted_buckets);
     kv_u("memory_budget", memory_budget);
     kv_u("shards", num_shards());
     if (sharded) {

@@ -199,7 +199,6 @@ inline void publish_plan(semisort_stats* stats, const semisort_plan& plan,
   ps.scatter = plan.scatter;
   ps.key_domain_width =
       plan.domain_dense ? static_cast<size_t>(plan.domain_width) : 0;
-  ps.predicted_buckets = plan.predicted_buckets;
   ps.shards = plan.num_shards();
   ps.memory_budget = plan.memory_budget;
   ps.overlap_io = plan.overlap_io;
@@ -248,10 +247,10 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
   // Phase 3 — scatter (path pinned by the plan; see core/planner.h).
   scatter_storage<Record> storage(plan.total_slots, base.split(2).next() | 1,
                                   &ctx);
-  scatter_telemetry telem;
+  scatter_probe_stats probe;
   scatter_result result = scatter_dispatch(
       path, in, storage, plan, get_key, params, base.split(3), ctx,
-      params.stats != nullptr ? &telem : nullptr);
+      params.stats != nullptr ? &probe : nullptr);
   if (pt != nullptr) pt->record("scatter");
   if (result != scatter_result::ok) return false;
 
@@ -259,12 +258,12 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
   std::span<size_t> light_counts(ctx.scratch.alloc<size_t>(plan.num_light),
                                  plan.num_light);
   std::atomic<bool> local_kernel_used{false};
-  // The buffered and blocked paths fill each bucket front-to-back, so the
-  // local sort can treat occupancy as a prefix and skip the hole sweep.
+  // The blocked path fills each bucket front-to-back, so the local sort
+  // can treat occupancy as a prefix and skip the hole sweep.
   local_sort_light_buckets(
       storage, plan, get_key, params, light_counts,
       params.stats != nullptr ? &local_kernel_used : nullptr,
-      /*dense_storage=*/path != scatter_path::cas);
+      /*dense_storage=*/path == scatter_path::blocked);
   if (pt != nullptr) pt->record("local sort");
 
   // Stats are gathered before the pack so that `out` may alias `in`
@@ -289,51 +288,22 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
                     return plan.heavy_table->contains(get_key(in[i])) ? 1 : 0;
                   },
                   0, sums);
-    // Path-conditional telemetry: the probe histogram only means something
-    // on the CAS path, the flush counters only on the buffered path; the
-    // blocked path's whole point is issuing zero placement atomics.
+    // The probe histogram only means something on the CAS path; the
+    // blocked path never probes and leaves it all-zero.
     st.scatter_path_used = path;
-    switch (path) {
-      case scatter_path::cas:
-        for (size_t b = 0; b < semisort_stats::kProbeBins; ++b)
-          st.probe_hist[b] =
-              telem.probe.bins[b].load(std::memory_order_relaxed);
-        st.max_probe = telem.probe.max.load(std::memory_order_relaxed);
-        break;
-      case scatter_path::buffered:
-        st.scatter_flushes = telem.flushes.load(std::memory_order_relaxed);
-        st.scatter_chunk_claims =
-            telem.chunk_claims.load(std::memory_order_relaxed);
-        st.scatter_bytes_staged =
-            telem.bytes_staged.load(std::memory_order_relaxed);
-        for (size_t b = 0; b < semisort_stats::kFlushBins; ++b)
-          st.flush_hist[b] =
-              telem.flush_hist[b].load(std::memory_order_relaxed);
-        st.scatter_atomics_saved = n - st.scatter_chunk_claims;
-        break;
-      case scatter_path::blocked:
-        st.scatter_atomics_saved = n;  // placement issued no atomics
-        break;
+    if (path == scatter_path::cas) {
+      for (size_t b = 0; b < semisort_stats::kProbeBins; ++b)
+        st.probe_hist[b] = probe.bins[b].load(std::memory_order_relaxed);
+      st.max_probe = probe.max.load(std::memory_order_relaxed);
     }
     // Per-phase SIMD engagement (width contract documented in params.h:
     // 256/128 vector tier, 64 scalar tier, 0 no accelerated kernel on the
-    // path this run took).
+    // path this run took — blocked counting has no scan kernel).
     st.simd_hash_width = sample.size() > 0 ? simd::kWidthBits : 0;
-    switch (path) {
-      case scatter_path::cas:
-        st.simd_scatter_width =
-            scatter_storage<Record>::kKeyCas
-                ? ((simd::kEnabled && !simd::kTsan)
-                       ? simd::probe_width<sizeof(Record)>()
-                       : 64)
-                : 0;
-        break;
-      case scatter_path::buffered:
-        st.simd_scatter_width = simd::kWidthBits;  // run_len_u32 flush scan
-        break;
-      case scatter_path::blocked:
-        st.simd_scatter_width = 0;  // two-pass counting: no scan kernel
-        break;
+    if (path == scatter_path::cas && scatter_storage<Record>::kKeyCas) {
+      st.simd_scatter_width = (simd::kEnabled && !simd::kTsan)
+                                  ? simd::probe_width<sizeof(Record)>()
+                                  : 64;
     }
     st.simd_local_sort_width =
         local_kernel_used.load(std::memory_order_relaxed) ? simd::kWidthBits
@@ -373,18 +343,12 @@ void execute_in_memory_plan(std::span<const Record> in, std::span<Record> out,
                             const semisort_plan& plan, bool aliased,
                             const char* who, context_binding& bind) {
   if (params.stats != nullptr) params.stats->shards = 1;
-  if (plan.dispatch == dispatch_path::counting ||
-      plan.dispatch == dispatch_path::unstable) {
+  if (plan.dispatch == dispatch_path::counting) {
     key_domain dom;
     dom.dense = true;
     dom.min = plan.domain_min;
     dom.width = plan.domain_width;
-    if (plan.dispatch == dispatch_path::unstable) {
-      unstable_counting_semisort(in, out, get_key, dom, params, aliased,
-                                 bind.ctx());
-    } else {
-      counting_semisort(in, out, get_key, dom, params, aliased, bind.ctx());
-    }
+    counting_semisort(in, out, get_key, dom, params, aliased, bind.ctx());
     bind.finalize(params.stats);
     return;
   }

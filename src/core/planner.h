@@ -4,13 +4,13 @@
 //
 //   * unsharded route — the only scan is the key-domain probe
 //     (core/key_domain.h), and it runs only when the dispatch strategy
-//     wants it; the scatter path is then chosen from a *predicted* bucket
-//     count (n, sampling_p, light_bucket_samples are all known a priori),
-//     not from a second scan.
+//     wants it; the scatter path is a function of params and the
+//     environment alone (core/scatter.h), so it needs no scan.
 //   * sharded route — the only scan is plan_shards' strided histogram
 //     sample (shard/shard_plan.h). The key-domain probe is skipped
 //     entirely: each shard's engine call plans its own shard-local domain,
-//     where the shard IS the input.
+//     where the shard IS the input. The scatter path every shard runs is
+//     the same params-only choice, so the plan records it too.
 //
 // The probe-pass accounting (plan.probe_passes / probe_records) makes the
 // contract observable — tests/plan_test.cpp pins it to ≤ 1.
@@ -95,37 +95,25 @@ inline uint64_t fingerprint_params(const semisort_params& p) {
   return h;
 }
 
-// Expected merged-light-bucket count of a run, from knowns only: the
-// sample has ~n·p keys, merging targets light_bucket_samples of them per
-// bucket, and the range partition caps the total. Feeding this prediction
-// to choose_scatter_path is what lets the plan fix the scatter path
-// without a probe — the prediction tracks the real count within the
-// heavy-key correction, and the heuristic's thresholds are coarse
-// (powers of two) relative to that error.
-inline size_t predict_bucket_count(size_t n, const semisort_params& params) {
-  if (!params.merge_light_buckets) return params.num_hash_ranges;
-  double sample = static_cast<double>(n) * params.sampling_p;
-  double light = sample / static_cast<double>(params.light_bucket_samples);
-  size_t est = light < 1.0 ? 1 : static_cast<size_t>(light);
-  return est > params.num_hash_ranges ? params.num_hash_ranges : est;
-}
+// PARSEMI_SHARD_OVERLAP values; unknown values fall through to
+// params.shard_overlap.
+inline constexpr env_choice<semisort_params::overlap_strategy>
+    kShardOverlapEnv[] = {
+        {"on", semisort_params::overlap_strategy::on},
+        {"off", semisort_params::overlap_strategy::off},
+        {"adaptive", semisort_params::overlap_strategy::adaptive},
+};
 
 // Spill-I/O overlap decision. Precedence mirrors the scatter/dispatch
 // path overrides: PARSEMI_SHARD_OVERLAP env beats params.shard_overlap
 // beats the adaptive default (overlap whenever ≥ 2 shards take the spill
-// path — there is always a next run to prefetch). env_cstr never
-// allocates.
+// path — there is always a next run to prefetch).
 inline bool resolve_overlap_io(const semisort_params& params,
                                size_t num_shards) {
-  using strategy = semisort_params::overlap_strategy;
-  strategy s = params.shard_overlap;
-  const char* v = env_cstr("PARSEMI_SHARD_OVERLAP");
-  if (v != nullptr) {
-    if (std::strcmp(v, "on") == 0) s = strategy::on;
-    else if (std::strcmp(v, "off") == 0) s = strategy::off;
-    else if (std::strcmp(v, "adaptive") == 0) s = strategy::adaptive;
-  }
-  if (s == strategy::off) return false;
+  if (env_override("PARSEMI_SHARD_OVERLAP", kShardOverlapEnv,
+                   params.shard_overlap) ==
+      semisort_params::overlap_strategy::off)
+    return false;
   return num_shards >= 2;
 }
 
@@ -168,12 +156,13 @@ bool plan_sharded_route(std::span<const Record> in, GetKey&& get_key,
   plan.probe_passes = 1;
   plan.probe_records = std::min(n, size_t{1} << 16);  // the strided sample
   plan.overlap_io = resolve_overlap_io(params, plan.shards.num_shards);
+  plan.scatter = choose_scatter_path(params);
   return true;
 }
 
 // In-memory planning: resolve the front-end dispatch (running the
 // key-domain probe only when the strategy asks for it — this route's one
-// probe), then fix the scatter path from the predicted bucket count.
+// probe), then fix the scatter path from params.
 template <typename Record, typename GetKey>
 void plan_in_memory(std::span<const Record> in, GetKey&& get_key,
                     const semisort_params& params, semisort_plan& plan,
@@ -191,20 +180,12 @@ void plan_in_memory(std::span<const Record> in, GetKey&& get_key,
     plan.domain_min = dom.min;
     plan.domain_width = dom.width;
     if (dom.dense) {
-      if (s == strategy::unstable) {
-        plan.dispatch = dispatch_path::unstable;
-        plan.counting_passes = 1;
-      } else {
-        plan.dispatch = dispatch_path::counting;
-        plan.counting_passes = dom.width <= kCountingOnePassMaxWidth ? 1 : 2;
-      }
+      plan.dispatch = dispatch_path::counting;
+      plan.counting_passes = dom.width <= kCountingOnePassMaxWidth ? 1 : 2;
     }
   }
-  if (plan.dispatch == dispatch_path::general) {
-    plan.predicted_buckets = predict_bucket_count(n, params);
-    plan.scatter =
-        choose_scatter_path(n, plan.predicted_buckets, sizeof(Record), params);
-  }
+  if (plan.dispatch == dispatch_path::general)
+    plan.scatter = choose_scatter_path(params);
 }
 
 // The whole planner: binding, then exactly one of the two routes — so a

@@ -22,7 +22,9 @@
 // params.timings):
 //   1. "sample and sort"    — strided sample of hashed keys, radix-sorted
 //   2. "construct buckets"  — heavy/light split, f(s)-sized bucket layout
-//   3. "scatter"            — one CAS write per record into its bucket
+//   3. "scatter"            — exact-count blocked placement into each
+//                             bucket (the paper's one-CAS-per-record
+//                             scatter under scatter_with = cas)
 //   4. "local sort"         — compact + sort each light bucket
 //   5. "pack"               — compact everything into the output
 // Bucket overflow (probability ≤ n^{-c+1}/log²n, Corollary 3.4) and the

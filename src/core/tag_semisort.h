@@ -40,8 +40,8 @@ struct key_tag {
 
 // The tag layout must stay key-CAS eligible: every derived operator's inner
 // semisort rides the scatter engine (the tag call below copies the caller's
-// params, so scatter_with and the adaptive path selection flow through
-// unchanged — as does dispatch_with: when an operator's hash values land in
+// params, so scatter_with and the path selection flow through unchanged —
+// as does dispatch_with: when an operator's hash values land in
 // a small dense domain, e.g. an identity hash over dense integer keys, the
 // inner semisort's front-end dispatch counting-sorts the tags instead of
 // running the pipeline), and at 16 trivially-copyable bytes the tags

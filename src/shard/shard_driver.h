@@ -66,7 +66,10 @@ namespace internal {
 // Folds one shard's engine counters into the call-level aggregate: counts
 // sum, histogram bins sum, probe/scratch maxima take the max, and the
 // path-choice fields report the last shard that ran (shards see the same
-// distribution family, so they almost always agree).
+// distribution family, so they almost always agree) — the scatter path
+// from the last shard that ran the scatter at all, since a tiny or
+// single-key shard finishes on the sequential or counting path without
+// one.
 inline void accumulate_shard_stats(semisort_stats& agg,
                                    const semisort_stats& s) {
   agg.sample_size += s.sample_size;
@@ -80,18 +83,12 @@ inline void accumulate_shard_stats(semisort_stats& agg,
   agg.sequential_fallbacks += s.sequential_fallbacks;
   agg.job_steals += s.job_steals;
   agg.job_queue_wait_ns += s.job_queue_wait_ns;
-  agg.scatter_flushes += s.scatter_flushes;
-  agg.scatter_chunk_claims += s.scatter_chunk_claims;
-  agg.scatter_bytes_staged += s.scatter_bytes_staged;
-  agg.scatter_atomics_saved += s.scatter_atomics_saved;
   for (size_t b = 0; b < semisort_stats::kProbeBins; ++b)
     agg.probe_hist[b] += s.probe_hist[b];
-  for (size_t b = 0; b < semisort_stats::kFlushBins; ++b)
-    agg.flush_hist[b] += s.flush_hist[b];
   agg.max_probe = std::max(agg.max_probe, s.max_probe);
   agg.shard_peak_scratch_bytes =
       std::max(agg.shard_peak_scratch_bytes, s.peak_scratch_bytes);
-  agg.scatter_path_used = s.scatter_path_used;
+  if (s.total_slots > 0) agg.scatter_path_used = s.scatter_path_used;
   agg.dispatch_path_used = s.dispatch_path_used;
   agg.key_domain_width = s.key_domain_width;
   agg.counting_passes = s.counting_passes;

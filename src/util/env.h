@@ -2,7 +2,9 @@
 // command-line flag parser shared by the bench/example binaries.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -17,6 +19,29 @@ std::optional<int64_t> env_int(const char* name);
 // scatter-path override checked once per semisort call) can use it without
 // breaking the zero-heap steady state.
 const char* env_cstr(const char* name);
+
+// One row of an enum-valued override table: the environment value and the
+// enum value it selects.
+template <typename E>
+struct env_choice {
+  const char* name;
+  E value;
+};
+
+// Resolves an enum-valued override (PARSEMI_SCATTER_PATH and friends):
+// when `var` is set to a name listed in `table`, its value wins; unset,
+// empty, or unlisted values fall through to `fallback` — the caller's
+// params knob, which in turn carries the default. Allocation-free, so the
+// per-call resolution keeps the zero-heap steady state.
+template <typename E, size_t N>
+E env_override(const char* var, const env_choice<E> (&table)[N], E fallback) {
+  const char* v = env_cstr(var);
+  if (v == nullptr) return fallback;
+  for (const env_choice<E>& c : table) {
+    if (std::strcmp(v, c.name) == 0) return c.value;
+  }
+  return fallback;
+}
 
 // Parses a human byte size: a non-negative integer with an optional binary
 // suffix K/M/G/T (case-insensitive, ×1024 each) and an optional trailing

@@ -185,10 +185,9 @@ TEST(AllocRegression, PlanReuseStaysZeroAllocAndZeroProbe) {
 }
 
 TEST(AllocRegression, EveryScatterPathZeroHeapAllocationsWhenWarm) {
-  // The engine's buffered and blocked paths provision their write buffers /
-  // count matrices from the same arena — forcing each path (plus the env
-  // override's getenv probe) must stay zero-alloc once the shared context
-  // has seen all of them.
+  // The blocked path provisions its count matrix from the same arena —
+  // forcing each path (plus the env override's getenv probe) must stay
+  // zero-alloc once the shared context has seen both of them.
   size_t n = 120000;
   auto in = generate_records(n, {distribution_kind::exponential, 1000}, 43);
   std::vector<record> out(n);
@@ -201,9 +200,7 @@ TEST(AllocRegression, EveryScatterPathZeroHeapAllocationsWhenWarm) {
 
   constexpr semisort_params::scatter_strategy kStrategies[] = {
       semisort_params::scatter_strategy::cas,
-      semisort_params::scatter_strategy::buffered,
       semisort_params::scatter_strategy::blocked,
-      semisort_params::scatter_strategy::adaptive,
   };
   for (auto s : kStrategies) {  // warm every path's footprint
     params.scatter_with = s;
@@ -293,7 +290,6 @@ TEST(AllocRegression, CountingDispatchPathsZeroHeapAllocationsWhenWarm) {
 
   constexpr semisort_params::dispatch_strategy kStrategies[] = {
       semisort_params::dispatch_strategy::counting,
-      semisort_params::dispatch_strategy::unstable,
       semisort_params::dispatch_strategy::adaptive,
   };
   for (auto s : kStrategies) {  // warm every path × tier footprint

@@ -61,7 +61,7 @@ semisort_params random_params(rng& r) {
   p.probing = r.next_below(4) == 0 ? semisort_params::probe_strategy::random
                                    : semisort_params::probe_strategy::linear;
   p.scatter_with =
-      static_cast<semisort_params::scatter_strategy>(r.next_below(4));
+      static_cast<semisort_params::scatter_strategy>(r.next_below(2));
   p.local_sort = r.next_below(4) == 0
                      ? semisort_params::local_sort_algo::counting_by_naming
                      : semisort_params::local_sort_algo::std_sort;

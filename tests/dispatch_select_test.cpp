@@ -1,19 +1,18 @@
 // Tier-1 tests for the adaptive front-end dispatch (core/dispatch.h +
 // core/key_domain.h), mirroring scatter_select_test: canned corners of the
 // domain-eligibility heuristic (span just under/over the dense threshold,
-// one-element input, all-equal keys), the params override, the
-// PARSEMI_DISPATCH_PATH environment override — asserted both directly
-// against resolve_dispatch_strategy / probe_key_domain and end-to-end
-// through semisort_stats::dispatch_path_used — plus the path-conditional
-// telemetry contract (key_domain_width, counting_passes) and the
-// offset-only count_by_key scratch regression.
+// one-element input, all-equal keys) and the params override — asserted
+// both directly against probe_key_domain and end-to-end through
+// semisort_stats::dispatch_path_used — plus the path-conditional telemetry
+// contract (key_domain_width, counting_passes) and the offset-only
+// count_by_key scratch regression. The PARSEMI_DISPATCH_PATH override is
+// covered with the other environment overrides in plan_test.
 #include "core/dispatch.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <span>
@@ -30,18 +29,6 @@
 
 namespace parsemi {
 namespace {
-
-// RAII environment override (process-global, so always restored).
-class scoped_env {
- public:
-  scoped_env(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~scoped_env() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
 
 using strategy = semisort_params::dispatch_strategy;
 
@@ -151,34 +138,6 @@ TEST(DispatchSelect, ProbeSpanThresholdIsExact) {
   EXPECT_FALSE(dom.dense);
 }
 
-TEST(DispatchSelect, EnvOverridePrecedence) {
-  semisort_params p;
-  p.dispatch_with = strategy::general;  // env must win over the params pin
-  {
-    scoped_env env("PARSEMI_DISPATCH_PATH", "counting");
-    EXPECT_EQ(internal::resolve_dispatch_strategy(p), strategy::counting);
-  }
-  {
-    scoped_env env("PARSEMI_DISPATCH_PATH", "unstable");
-    EXPECT_EQ(internal::resolve_dispatch_strategy(p), strategy::unstable);
-  }
-  p.dispatch_with = strategy::counting;
-  {
-    scoped_env env("PARSEMI_DISPATCH_PATH", "general");
-    EXPECT_EQ(internal::resolve_dispatch_strategy(p), strategy::general);
-  }
-  // "adaptive" and unknown values fall through to the params knob.
-  {
-    scoped_env env("PARSEMI_DISPATCH_PATH", "adaptive");
-    EXPECT_EQ(internal::resolve_dispatch_strategy(p), strategy::counting);
-  }
-  {
-    scoped_env env("PARSEMI_DISPATCH_PATH", "warp-drive");
-    EXPECT_EQ(internal::resolve_dispatch_strategy(p), strategy::counting);
-  }
-  EXPECT_EQ(internal::resolve_dispatch_strategy(p), strategy::counting);
-}
-
 TEST(DispatchSelect, StatsReportChosenPathEndToEnd) {
   auto dense = dense_records(200000, 777, 50000);
 
@@ -187,11 +146,6 @@ TEST(DispatchSelect, StatsReportChosenPathEndToEnd) {
   EXPECT_EQ(adaptive.key_domain_width, 50000u);
   EXPECT_EQ(adaptive.counting_passes, 1u);
   EXPECT_EQ(adaptive.restarts, 0);
-
-  semisort_stats unstable = run_semisort(dense, strategy::unstable);
-  EXPECT_EQ(unstable.dispatch_path_used, dispatch_path::unstable);
-  EXPECT_EQ(unstable.key_domain_width, 50000u);
-  EXPECT_EQ(unstable.counting_passes, 1u);
 
   // Pinned general: no probe, no width.
   semisort_stats general = run_semisort(dense, strategy::general);
@@ -208,14 +162,6 @@ TEST(DispatchSelect, StatsReportChosenPathEndToEnd) {
   EXPECT_EQ(fallback.key_domain_width, 0u);
   EXPECT_EQ(fallback.counting_passes, 0u);
   EXPECT_GT(fallback.total_slots, 0u);
-}
-
-TEST(DispatchSelect, EnvOverrideForcesPathEndToEnd) {
-  auto dense = dense_records(100000, 12, 30000);
-  scoped_env env("PARSEMI_DISPATCH_PATH", "counting");
-  // Even with params pinning general, the env override wins.
-  semisort_stats stats = run_semisort(dense, strategy::general);
-  EXPECT_EQ(stats.dispatch_path_used, dispatch_path::counting);
 }
 
 TEST(DispatchSelect, CountingPathIsStableAndDeterministic) {
@@ -270,17 +216,6 @@ TEST(DispatchSelect, InplaceEntryMatchesCopyingEntry) {
   semisort_hashed_inplace(std::span<record>(data), record_key{}, params);
   EXPECT_EQ(stats.dispatch_path_used, dispatch_path::counting);
   EXPECT_EQ(data, copied);
-}
-
-TEST(DispatchSelect, UnstableGroupsAreExact) {
-  auto dense = dense_records(100000, 17, 25000);
-  std::vector<record> out;
-  run_semisort(dense, strategy::unstable, &out);
-  auto got = testing::key_counts(std::span<const record>(out), record_key{});
-  auto want =
-      testing::key_counts(std::span<const record>(dense), record_key{});
-  EXPECT_EQ(got.size(), want.size());
-  for (auto& [k, cnt] : want) EXPECT_EQ(got.at(k), cnt) << "key " << k;
 }
 
 TEST(DispatchSelect, CountByKeyDefaultsToOffsetsAndShrinksScratch) {

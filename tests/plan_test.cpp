@@ -10,12 +10,18 @@
 //   * binding — a plan is rejected (std::invalid_argument) for a call with
 //     a different n or different planning-relevant params;
 //   * overrides — forced scatter/dispatch strategies land in the plan
-//     verbatim and the execution follows them.
+//     verbatim and the execution follows them, on the sharded route too;
+//     the PARSEMI_SCATTER_PATH / PARSEMI_DISPATCH_PATH /
+//     PARSEMI_SHARD_OVERLAP environment overrides beat params, and unknown
+//     or retired values fall through to params.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
+#include <cstdlib>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/exec_plan.h"
@@ -69,7 +75,7 @@ TEST(PlanTest, AtMostOneProbePass) {
   EXPECT_EQ(plan.probe_passes, 1u);
   EXPECT_FALSE(plan.domain_dense);
   EXPECT_EQ(plan.dispatch, dispatch_path::general);
-  EXPECT_GT(plan.predicted_buckets, 0u);
+  EXPECT_EQ(plan.scatter, scatter_path::blocked);
 }
 
 TEST(PlanTest, PinnedGeneralPlansWithoutProbing) {
@@ -117,8 +123,6 @@ TEST(PlanTest, ForcedScatterPathLandsInThePlan) {
   for (auto [strategy, path] :
        {std::pair{semisort_params::scatter_strategy::blocked,
                   scatter_path::blocked},
-        std::pair{semisort_params::scatter_strategy::buffered,
-                  scatter_path::buffered},
         std::pair{semisort_params::scatter_strategy::cas,
                   scatter_path::cas}}) {
     semisort_params params;
@@ -138,14 +142,32 @@ TEST(PlanTest, ForcedScatterPathLandsInThePlan) {
   }
 }
 
-TEST(PlanTest, ForcedUnstableDispatchLandsInThePlan) {
-  auto raw = generate_records_raw(kN, {distribution_kind::uniform, 50000}, 6);
-  semisort_params params;
-  params.dispatch_with = semisort_params::dispatch_strategy::unstable;
-  semisort_plan plan = plan_semisort_hashed(std::span<const record>(raw),
-                                            record_key{}, params);
-  EXPECT_EQ(plan.dispatch, dispatch_path::unstable);
-  EXPECT_TRUE(plan.domain_dense);
+TEST(PlanTest, ShardedPlanNamesTheScatterPathTheShardsRun) {
+  // The sharded route skips plan_in_memory, yet every shard runs the same
+  // params-only scatter choice — the top-level plan must say which.
+  auto in = hashed_input(13);
+  for (auto [strategy, path] :
+       {std::pair{semisort_params::scatter_strategy::blocked,
+                  scatter_path::blocked},
+        std::pair{semisort_params::scatter_strategy::cas,
+                  scatter_path::cas}}) {
+    semisort_params params;
+    params.scatter_with = strategy;
+    params.memory_budget_bytes = 512 << 10;
+    semisort_plan plan = plan_semisort_hashed(std::span<const record>(in),
+                                              record_key{}, params);
+    ASSERT_TRUE(plan.sharded);
+    EXPECT_EQ(plan.scatter, path);
+    std::vector<record> out(kN);
+    semisort_stats stats;
+    params.stats = &stats;
+    semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                    record_key{}, params);
+    ASSERT_GE(stats.shards, 2u);
+    EXPECT_EQ(stats.scatter_path_used, path);
+    EXPECT_EQ(stats.plan.scatter, stats.scatter_path_used);
+    EXPECT_TRUE(testing::valid_semisort(out, in));
+  }
 }
 
 TEST(PlanTest, ReuseSkipsProbesAndExecutesTheSamePaths) {
@@ -249,6 +271,98 @@ TEST(PlanTest, PlanSummaryReachesStatsOnEveryRoute) {
   EXPECT_EQ(stats.plan.shards, stats.shards);
   EXPECT_EQ(stats.plan.probe_passes, 1u);
 }
+
+// --- environment overrides ---------------------------------------------
+//
+// One table-driven resolver (util/env.h) serves all three overrides. Each
+// case plans with params pinned away from the default and the variable
+// set (nullptr = unset), then reads the decision back from the plan.
+
+struct env_case {
+  const char* var;
+  const char* value;
+  const char* planned;  // the decision the plan must record
+};
+
+// RAII environment override: the variables are process-global, so the
+// unset state is restored even on failure.
+class scoped_env {
+ public:
+  scoped_env(const char* name, const char* value) : name_(name) {
+    if (value != nullptr) ::setenv(name, value, 1);
+  }
+  ~scoped_env() { ::unsetenv(name_); }
+  scoped_env(const scoped_env&) = delete;
+  scoped_env& operator=(const scoped_env&) = delete;
+
+ private:
+  const char* name_;
+};
+
+std::string planned_decision(const std::string& var) {
+  semisort_params params;
+  params.scatter_with = semisort_params::scatter_strategy::cas;
+  params.dispatch_with = semisort_params::dispatch_strategy::general;
+  params.shard_overlap = semisort_params::overlap_strategy::off;
+  if (var == "PARSEMI_SCATTER_PATH") {
+    auto in = hashed_input();
+    return to_string(
+        plan_semisort_hashed(std::span<const record>(in), record_key{}, params)
+            .scatter);
+  }
+  if (var == "PARSEMI_DISPATCH_PATH") {
+    auto raw =
+        generate_records_raw(kN, {distribution_kind::uniform, 50000}, 5);
+    return to_string(
+        plan_semisort_hashed(std::span<const record>(raw), record_key{},
+                             params)
+            .dispatch);
+  }
+  auto in = hashed_input();
+  params.memory_budget_bytes = 512 << 10;  // >= 2 spilled shards
+  semisort_plan plan =
+      plan_semisort_hashed(std::span<const record>(in), record_key{}, params);
+  return plan.overlap_io ? "on" : "off";
+}
+
+class EnvOverride : public ::testing::TestWithParam<env_case> {};
+
+TEST_P(EnvOverride, BeatsParamsAndUnknownValuesFallThrough) {
+  const env_case& c = GetParam();
+  scoped_env env(c.var, c.value);
+  EXPECT_EQ(planned_decision(c.var), c.planned)
+      << c.var << "=" << (c.value != nullptr ? c.value : "(unset)");
+}
+
+// Params are pinned to cas / general / off: an override that wins shows up
+// as blocked / counting / on; one that falls through leaves the pin.
+constexpr env_case kEnvCases[] = {
+    {"PARSEMI_SCATTER_PATH", nullptr, "cas"},
+    {"PARSEMI_SCATTER_PATH", "blocked", "blocked"},
+    {"PARSEMI_SCATTER_PATH", "buffered", "cas"},  // retired value
+    {"PARSEMI_SCATTER_PATH", "adaptive", "cas"},
+    {"PARSEMI_SCATTER_PATH", "warp-drive", "cas"},
+    {"PARSEMI_DISPATCH_PATH", nullptr, "general"},
+    {"PARSEMI_DISPATCH_PATH", "counting", "counting"},
+    {"PARSEMI_DISPATCH_PATH", "unstable", "general"},  // retired value
+    {"PARSEMI_DISPATCH_PATH", "adaptive", "general"},
+    {"PARSEMI_DISPATCH_PATH", "warp-drive", "general"},
+    {"PARSEMI_SHARD_OVERLAP", nullptr, "off"},
+    {"PARSEMI_SHARD_OVERLAP", "on", "on"},
+    {"PARSEMI_SHARD_OVERLAP", "adaptive", "on"},
+    {"PARSEMI_SHARD_OVERLAP", "warp-drive", "off"},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Vars, EnvOverride, ::testing::ValuesIn(kEnvCases),
+    [](const ::testing::TestParamInfo<env_case>& info) {
+      std::string name = std::string(info.param.var).substr(8) + "_" +
+                         (info.param.value != nullptr ? info.param.value
+                                                      : "unset");
+      for (char& ch : name)
+        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+      return name;
+    });
 
 }  // namespace
 }  // namespace parsemi

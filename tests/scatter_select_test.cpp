@@ -1,14 +1,15 @@
-// Tier-1 tests for the adaptive scatter-path selection (core/scatter.h):
-// canned (n, bucket count, record size) corners of the heuristic, the
-// params override, the PARSEMI_SCATTER_PATH environment override — all
-// asserted both directly against choose_scatter_path and end-to-end through
-// semisort_stats::scatter_path_used — and the per-path telemetry contract
-// (probe histogram only on CAS, flush counters only on buffered).
+// Tier-1 tests for the scatter-path selection (core/scatter.h): the default
+// is blocked at every shape — asserted directly against choose_scatter_path
+// and end-to-end through semisort_stats::scatter_path_used on the input
+// shapes an n / bucket-count / record-size heuristic would route elsewhere
+// — CAS is selected only by its params pin or by random probing, and the
+// per-path telemetry contract holds (probe histogram only on CAS). The
+// PARSEMI_SCATTER_PATH override is covered with the other environment
+// overrides in plan_test.
 #include "core/scatter.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "core/semisort.h"
@@ -18,86 +19,23 @@
 namespace parsemi {
 namespace {
 
-// RAII environment override: PARSEMI_SCATTER_PATH is process-global, so
-// every test that sets it must restore the unset state even on failure.
-class scoped_env {
- public:
-  scoped_env(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~scoped_env() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
-
 using strategy = semisort_params::scatter_strategy;
 
-TEST(ScatterSelect, HeuristicCorners) {
-  semisort_params p;  // adaptive, linear probing
-  // The default pipeline shape at n = 10^7: few thousand buckets, 16-byte
-  // records — blocked.
-  EXPECT_EQ(choose_scatter_path(10'000'000, 6500, 16, p),
-            scatter_path::blocked);
-  // Large records read twice hurt the blocked path — buffered.
-  EXPECT_EQ(choose_scatter_path(10'000'000, 6500, 128, p),
-            scatter_path::buffered);
-  // Too few records per bucket for two counting passes — buffered.
-  EXPECT_EQ(choose_scatter_path(100'000, 10'000, 16, p),
-            scatter_path::buffered);
-  // Bucket count past both paths' limits — CAS.
-  EXPECT_EQ(choose_scatter_path(10'000'000, 40'000, 16, p), scatter_path::cas);
-  // Small inputs never leave the CAS baseline.
-  EXPECT_EQ(choose_scatter_path(10'000, 100, 16, p), scatter_path::cas);
+TEST(ScatterSelect, DefaultIsBlocked) {
+  semisort_params p;
+  EXPECT_EQ(p.scatter_with, strategy::blocked);
+  EXPECT_EQ(choose_scatter_path(p), scatter_path::blocked);
 }
 
-TEST(ScatterSelect, RandomProbingPinsCas) {
+TEST(ScatterSelect, CasOnlyWhenPinnedOrRandomProbing) {
   semisort_params p;
-  p.probing = semisort_params::probe_strategy::random;
-  EXPECT_EQ(choose_scatter_path(10'000'000, 6500, 16, p), scatter_path::cas);
-}
-
-TEST(ScatterSelect, ParamsOverrideBeatsHeuristic) {
-  semisort_params p;
-  p.scatter_with = strategy::buffered;
-  EXPECT_EQ(choose_scatter_path(10'000, 100, 16, p), scatter_path::buffered);
-  p.scatter_with = strategy::blocked;
-  EXPECT_EQ(choose_scatter_path(10'000, 100, 16, p), scatter_path::blocked);
   p.scatter_with = strategy::cas;
-  EXPECT_EQ(choose_scatter_path(10'000'000, 6500, 16, p), scatter_path::cas);
-}
-
-TEST(ScatterSelect, EnvOverrideForcesEachPath) {
-  semisort_params p;
-  p.scatter_with = strategy::cas;  // env must win over the params pin
-  {
-    scoped_env env("PARSEMI_SCATTER_PATH", "buffered");
-    EXPECT_EQ(choose_scatter_path(10'000, 100, 16, p),
-              scatter_path::buffered);
-  }
-  {
-    scoped_env env("PARSEMI_SCATTER_PATH", "blocked");
-    EXPECT_EQ(choose_scatter_path(10'000, 100, 16, p), scatter_path::blocked);
-  }
+  EXPECT_EQ(choose_scatter_path(p), scatter_path::cas);
+  // Random probing exists only on the CAS path, so it selects CAS even
+  // over a blocked pin.
   p.scatter_with = strategy::blocked;
-  {
-    scoped_env env("PARSEMI_SCATTER_PATH", "cas");
-    EXPECT_EQ(choose_scatter_path(10'000'000, 6500, 16, p),
-              scatter_path::cas);
-  }
-  // "adaptive" (and unknown values) fall through to params + heuristic.
-  {
-    scoped_env env("PARSEMI_SCATTER_PATH", "adaptive");
-    EXPECT_EQ(choose_scatter_path(10'000'000, 6500, 16, p),
-              scatter_path::blocked);
-    p.scatter_with = strategy::adaptive;
-    EXPECT_EQ(choose_scatter_path(10'000'000, 6500, 16, p),
-              scatter_path::blocked);
-  }
-  {
-    scoped_env env("PARSEMI_SCATTER_PATH", "warp-drive");
-    EXPECT_EQ(choose_scatter_path(10'000, 100, 16, p), scatter_path::cas);
-  }
+  p.probing = semisort_params::probe_strategy::random;
+  EXPECT_EQ(choose_scatter_path(p), scatter_path::cas);
 }
 
 // One semisort run with the given strategy; returns stats and verifies the
@@ -115,66 +53,63 @@ semisort_stats run_semisort(const std::vector<record>& in, strategy s) {
   return stats;
 }
 
-TEST(ScatterSelect, StatsReportChosenPathEndToEnd) {
-  auto in = generate_records(200'000, {distribution_kind::uniform, 2000}, 21);
+// 128-byte record.
+struct wide_record {
+  uint64_t key;
+  uint64_t pad[15];
+};
+static_assert(sizeof(wide_record) == 128);
 
-  // Default pipeline at this size: small bucket count, 16-byte records —
-  // the adaptive selector must choose blocked, and the blocked run reports
-  // zero placement atomics.
-  semisort_stats adaptive = run_semisort(in, strategy::adaptive);
-  EXPECT_EQ(adaptive.scatter_path_used, scatter_path::blocked);
-  EXPECT_EQ(adaptive.scatter_chunk_claims, 0u);
-  EXPECT_EQ(adaptive.scatter_atomics_saved, adaptive.n);
-
-  semisort_stats cas = run_semisort(in, strategy::cas);
-  EXPECT_EQ(cas.scatter_path_used, scatter_path::cas);
-
-  semisort_stats buffered = run_semisort(in, strategy::buffered);
-  EXPECT_EQ(buffered.scatter_path_used, scatter_path::buffered);
-
-  semisort_stats blocked = run_semisort(in, strategy::blocked);
-  EXPECT_EQ(blocked.scatter_path_used, scatter_path::blocked);
-}
-
-TEST(ScatterSelect, EnvOverrideForcesPathEndToEnd) {
-  auto in = generate_records(100'000, {distribution_kind::uniform, 1000}, 22);
-  scoped_env env("PARSEMI_SCATTER_PATH", "buffered");
-  // Even with params pinning CAS, the env override wins.
-  semisort_stats stats = run_semisort(in, strategy::cas);
-  EXPECT_EQ(stats.scatter_path_used, scatter_path::buffered);
+TEST(ScatterSelect, DefaultRunsBlockedAtEveryShape) {
+  // Small n, few records per bucket, and (below) large records: the
+  // default ignores the input's shape.
+  for (size_t n : {size_t{4096}, size_t{32767}, size_t{100'000}}) {
+    auto in = generate_records(n, {distribution_kind::uniform, n}, 21);
+    semisort_params params;
+    semisort_stats stats;
+    params.stats = &stats;
+    std::vector<record> out(n);
+    semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                    record_key{}, params);
+    EXPECT_EQ(stats.scatter_path_used, scatter_path::blocked) << "n " << n;
+    EXPECT_EQ(stats.plan.scatter, scatter_path::blocked) << "n " << n;
+    EXPECT_TRUE(testing::valid_semisort(std::span<const record>(out),
+                                        std::span<const record>(in)));
+  }
+  // Large records.
+  auto base = generate_records(65'536, {distribution_kind::uniform, 65'536},
+                               22);
+  std::vector<wide_record> in(base.size()), out(base.size());
+  for (size_t i = 0; i < base.size(); ++i) {
+    in[i] = {};
+    in[i].key = base[i].key;
+    in[i].pad[0] = base[i].payload;
+  }
+  semisort_params params;
+  semisort_stats stats;
+  params.stats = &stats;
+  auto key = [](const wide_record& r) { return r.key; };
+  semisort_hashed(std::span<const wide_record>(in),
+                  std::span<wide_record>(out), key, params);
+  EXPECT_EQ(stats.scatter_path_used, scatter_path::blocked);
+  EXPECT_TRUE(testing::is_semisorted(std::span<const wide_record>(out), key));
 }
 
 TEST(ScatterSelect, TelemetryIsPathConditional) {
   auto in = generate_records(150'000, {distribution_kind::zipfian, 50'000}, 23);
 
-  // CAS: probe histogram populated, flush counters untouched.
+  // CAS: probe histogram populated, one entry per record.
   semisort_stats cas = run_semisort(in, strategy::cas);
+  EXPECT_EQ(cas.scatter_path_used, scatter_path::cas);
   size_t probed = 0;
   for (size_t b : cas.probe_hist) probed += b;
   EXPECT_EQ(probed, cas.n);
-  EXPECT_EQ(cas.scatter_flushes, 0u);
-  EXPECT_EQ(cas.scatter_bytes_staged, 0u);
-  EXPECT_EQ(cas.scatter_atomics_saved, 0u);
 
-  // Buffered: every record staged exactly once, claims ≤ flush-run count,
-  // probe histogram untouched.
-  semisort_stats buffered = run_semisort(in, strategy::buffered);
-  EXPECT_GT(buffered.scatter_flushes, 0u);
-  EXPECT_GT(buffered.scatter_chunk_claims, 0u);
-  EXPECT_EQ(buffered.scatter_bytes_staged, buffered.n * sizeof(record));
-  EXPECT_EQ(buffered.scatter_atomics_saved,
-            buffered.n - buffered.scatter_chunk_claims);
-  size_t flush_total = 0;
-  for (size_t b : buffered.flush_hist) flush_total += b;
-  EXPECT_EQ(flush_total, buffered.scatter_flushes);
-  for (size_t b : buffered.probe_hist) EXPECT_EQ(b, 0u);
-  EXPECT_EQ(buffered.max_probe, 0u);
-
-  // Blocked: no probes, no flushes, all placement atomics saved.
+  // Blocked: no probes.
   semisort_stats blocked = run_semisort(in, strategy::blocked);
+  EXPECT_EQ(blocked.scatter_path_used, scatter_path::blocked);
   for (size_t b : blocked.probe_hist) EXPECT_EQ(b, 0u);
-  EXPECT_EQ(blocked.scatter_flushes, 0u);
-  EXPECT_EQ(blocked.scatter_atomics_saved, blocked.n);
+  EXPECT_EQ(blocked.max_probe, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Interleaving stress for the scatter engine (Phase 3): random
 // configurations of size, skew, bucket sizing, placement path (CAS /
-// buffered / blocked), probing mode, worker count and schedule-fuzz seed,
+// blocked), probing mode, worker count and schedule-fuzz seed,
 // in both slot-claiming modes (key-CAS for `record`, flag-array for a
 // record type without a leading key word). Undersized plans must report
 // overflow cleanly on every path and succeed once capacity is restored.
@@ -38,7 +38,7 @@ struct scatter_config {
   size_t n = 0;
   uint64_t vocab = 1;
   double alpha = 1.3;
-  int path = 0;  // scatter_path: 0 = cas, 1 = buffered, 2 = blocked
+  int path = 0;  // scatter_path: 0 = cas, 1 = blocked
   bool random_probing = false;
   bool flag_mode = false;  // scatter odd_record instead of record
   uint64_t data_seed = 0;
@@ -69,7 +69,7 @@ scatter_config generate(rng& r) {
   // overflow → retry path under a perturbed schedule.
   c.alpha = proptest::chance(r, 0.25) ? proptest::uniform_real(r, 0.01, 0.5)
                                       : proptest::uniform_real(r, 1.1, 1.6);
-  c.path = proptest::pick(r, {0, 1, 2});
+  c.path = proptest::pick(r, {0, 1});
   c.random_probing = proptest::chance(r, 0.3);
   c.flag_mode = proptest::chance(r, 0.4);
   c.data_seed = r.next();

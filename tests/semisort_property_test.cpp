@@ -86,11 +86,6 @@ std::vector<ParamCase> param_cases() {
   }
   {
     semisort_params p;
-    p.scatter_with = semisort_params::scatter_strategy::buffered;
-    cases.push_back({p, "scatter_buffered"});
-  }
-  {
-    semisort_params p;
     p.scatter_with = semisort_params::scatter_strategy::blocked;
     cases.push_back({p, "scatter_blocked"});
   }

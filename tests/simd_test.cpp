@@ -93,41 +93,6 @@ TEST(SimdMatchKey4, ProbeWidthFollowsTheTier) {
   static_assert(simd::probe_width<8>() == 64);
 }
 
-// ------------------------------------------------------------- run_len_u32
-
-TEST(SimdRunLen, ExhaustiveMismatchPositions) {
-  // A run of `len` heads then a mismatch at every position up to 40 — which
-  // walks the mismatch through every vector lane and the scalar tail.
-  for (uint32_t count = 0; count <= 40; ++count) {
-    for (uint32_t len = 1; len <= count; ++len) {
-      std::vector<uint32_t> ids(count, 7u);
-      for (uint32_t i = len; i < count; ++i) ids[i] = 9u + i;
-      uint32_t expect = simd::scalar::run_len_u32(ids.data(), count);
-      ASSERT_EQ(expect, len);
-      ASSERT_EQ(simd::run_len_u32(ids.data(), count), expect)
-          << "count " << count << " len " << len;
-    }
-  }
-  EXPECT_EQ(simd::run_len_u32(nullptr, 0), 0u);
-}
-
-TEST(SimdRunLen, RandomRunStructuresAgree) {
-  rng r(23);
-  for (int rep = 0; rep < 500; ++rep) {
-    uint32_t count = static_cast<uint32_t>(r.next_below(120));
-    std::vector<uint32_t> ids(count);
-    // Duplicate-heavy alphabet: long runs happen organically.
-    for (auto& id : ids) id = static_cast<uint32_t>(r.next_below(3));
-    uint32_t got = simd::run_len_u32(ids.data(), count);
-    ASSERT_EQ(got, simd::scalar::run_len_u32(ids.data(), count));
-    // And against first principles: ids[0..got) equal, ids[got] differs.
-    for (uint32_t i = 1; i < got; ++i) ASSERT_EQ(ids[i], ids[0]);
-    if (got < count) {
-      ASSERT_NE(ids[got], ids[0]);
-    }
-  }
-}
-
 // -------------------------------------------------- occupied_prefix_len
 
 TEST(SimdOccupiedPrefix, ExhaustiveHolePositions) {

@@ -37,7 +37,7 @@ bool ptr_member(const std::string& m) {
 }
 
 bool is_alloc_name(const std::string& n) {
-  return n == "alloc" || n == "alloc_aligned" || n == "alloc_bytes";
+  return n == "alloc" || n == "alloc_bytes";
 }
 
 // Every pointer-carrying use inside [lo, hi): tainted-variable uses,

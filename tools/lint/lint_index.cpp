@@ -158,7 +158,7 @@ void scan_body_facts(const std::vector<token>& toks, size_t lo, size_t hi,
     if (after >= hi || !is(toks[after], "(")) continue;
     if (non_func_name(name)) continue;
     if (member &&
-        (name == "alloc" || name == "alloc_aligned" || name == "alloc_bytes")) {
+        (name == "alloc" || name == "alloc_bytes")) {
       fe.allocs_arena = true;
     }
     if (spawn_entry_points().count(name)) fe.spawns_parallel = true;

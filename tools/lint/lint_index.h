@@ -56,7 +56,7 @@ struct func_entry {
   // Body facts (nested lambda bodies are attributed to the enclosing
   // function — calls made from a lambda run on behalf of its definer).
   bool opens_arena_scope = false;
-  bool allocs_arena = false;      // .alloc / .alloc_aligned / .alloc_bytes
+  bool allocs_arena = false;      // .alloc / .alloc_bytes
   bool spawns_parallel = false;   // parallel_for* / par_do / fork_join
   bool calls_default_pool = false;
   bool has_local_spill = false;   // declares a spill_file local
