@@ -1,7 +1,9 @@
 // Ablation: the §3.1 Chernoff estimator f(s) versus a naive s/p scaling of
 // the sample counts. Shrinking c toward 0 collapses f(s) to s/p; the
 // counters expose the resulting trade-off — less memory allocated, but
-// bucket overflows appear and force Las-Vegas restarts.
+// bucket overflows appear and force Las-Vegas restarts. Capacities only
+// exist on the paper's CAS scatter (the default exact-offset path sizes
+// buckets from exact counts), so both benches pin it.
 #include <benchmark/benchmark.h>
 
 #include "core/semisort.h"
@@ -18,6 +20,7 @@ void BM_EstimatorC(benchmark::State& state) {
   semisort_params params;
   // range(0) holds c scaled by 100: 0.01, 0.25, 1.25 (paper), 5.0.
   params.c = static_cast<double>(state.range(0)) / 100.0;
+  params.scatter_with = semisort_params::scatter_strategy::cas;
   params.max_retries = 16;
   semisort_stats stats;
   params.stats = &stats;
@@ -38,6 +41,7 @@ void BM_EstimatorAlpha(benchmark::State& state) {
   auto in = generate_records(kN, {distribution_kind::exponential, kN / 1000}, 42);
   semisort_params params;
   params.alpha = static_cast<double>(state.range(0)) / 100.0;
+  params.scatter_with = semisort_params::scatter_strategy::cas;
   params.max_retries = 16;
   semisort_stats stats;
   params.stats = &stats;

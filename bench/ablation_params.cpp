@@ -1,7 +1,8 @@
 // Ablations over the §4 parameter choices: sampling probability p, heavy
 // threshold δ, number of hash ranges, and the adjacent-light-bucket merging
-// optimization. Counters report the allocated slots per record (the memory
-// the estimator admits) and the number of Las-Vegas restarts.
+// optimization, on the default exact-offset path. Counters report the heavy
+// share plus slots per record and restarts, which stay 1.0 and 0 there (they
+// move only on the CAS ablation, PARSEMI_SCATTER_PATH=cas).
 #include <benchmark/benchmark.h>
 
 #include "core/semisort.h"

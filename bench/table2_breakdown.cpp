@@ -14,5 +14,7 @@ int main(int argc, char** argv) {
       },
       "paper shape (exp λ=n/1e3, ~70% heavy): scatter dominates (~50-70%),\n"
       "pack is second sequentially; local sort is small because most\n"
-      "records are heavy; construct-buckets is ~1%.\n");
+      "records are heavy; construct-buckets is ~1%. The default path has no\n"
+      "pack row (records land at their final offset during the scatter);\n"
+      "PARSEMI_SCATTER_PATH=cas runs the paper's five-phase pipeline.\n");
 }

@@ -14,5 +14,7 @@ int main(int argc, char** argv) {
       },
       "paper shape (uniform N=n, all light): scatter still largest (~50%),\n"
       "local sort becomes the second-largest phase (~36% sequentially) since\n"
-      "every record passes through a light bucket; pack shrinks.\n");
+      "every record passes through a light bucket; pack shrinks. The default\n"
+      "path has no pack row (records land at their final offset during the\n"
+      "scatter); PARSEMI_SCATTER_PATH=cas runs the paper's five phases.\n");
 }

@@ -1,14 +1,15 @@
 // Bump-allocation arena — the single memory plan behind every semisort
 // phase (via core/pipeline_context.h).
 //
-// The pipeline's scratch (sample array, bucket-plan tables, the big slot
-// array, per-bucket counts, pack offsets, derived-operator tag arrays) has
+// The pipeline's scratch (sample array, bucket-plan tables, the scatter's
+// count matrix and bucket starts, the in-place staging buffer, the CAS
+// path's slot array and pack offsets, derived-operator tag arrays) has
 // strict stack discipline: each phase allocates after the previous phase's
-// allocations and everything dies together when the call (or one Las-Vegas
-// attempt) ends. A bump pointer with checkpoint/rewind turns all of it into
-// pointer arithmetic; with the arena kept alive across calls, steady-state
-// repeated semisorts perform *zero* heap allocations (asserted by
-// tests/alloc_regression_test.cpp).
+// allocations and everything dies together when the call (or one CAS
+// Las-Vegas attempt) ends. A bump pointer with checkpoint/rewind turns all
+// of it into pointer arithmetic; with the arena kept alive across calls,
+// steady-state repeated semisorts perform *zero* heap allocations
+// (asserted by tests/alloc_regression_test.cpp).
 //
 // Design:
 //   * Memory is a chain of heap blocks. Growing appends a block sized

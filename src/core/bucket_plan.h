@@ -9,14 +9,17 @@
 //     bucket id is produced (small enough to stay cache-resident);
 //   * every bucket gets α·f(s) slots (§3.1), laid out in one big array —
 //     heavy buckets first, then light — so Phase 5 can pack by scanning.
+//     Only the CAS ablation path uses these capacities; the default
+//     exact-offset path uses the routing alone and sizes each bucket from
+//     its exact count (core/scatter.h).
 //
 // This phase costs ~1% of the total time (sample is n/16 keys), so the
 // walk over distinct sample keys is deliberately sequential and simple,
 // exactly as in the paper.
 //
 // Every table and array of the plan lives in the pipeline_context's arena:
-// the plan is a view that stays valid until the caller's checkpoint (one
-// Las-Vegas attempt) is rewound, and building it performs no heap
+// the plan is a view that stays valid until the caller's checkpoint (the
+// call, or one CAS Las-Vegas attempt) is rewound, and building it performs no heap
 // allocation once the arena is warm.
 #pragma once
 
@@ -55,7 +58,7 @@ struct bucket_plan {
 
   size_t num_buckets() const { return num_heavy + num_light; }
 
-  // Slot capacity of bucket b — every scatter path's overflow bound.
+  // Slot capacity of bucket b — the CAS path's overflow bound.
   size_t capacity_of(size_t b) const {
     return bucket_offset[b + 1] - bucket_offset[b];
   }
@@ -71,7 +74,8 @@ struct bucket_plan {
 };
 
 // Builds the plan from the sorted sample. `alpha` is passed explicitly so
-// the Las-Vegas retry loop can inflate capacities after an overflow. All
+// the CAS path's Las-Vegas retry loop can inflate capacities after an
+// overflow. All
 // plan storage comes from ctx.scratch — the plan dangles once the caller's
 // enclosing arena checkpoint is rewound.
 inline bucket_plan build_bucket_plan(std::span<const uint64_t> sorted_sample,

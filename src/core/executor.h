@@ -209,23 +209,23 @@ inline void publish_plan(semisort_stats* stats, const semisort_plan& plan,
   stats->key_domain_width = ps.key_domain_width;
 }
 
-// One Las-Vegas attempt of the paper's five-phase pipeline. The scatter
-// path comes pinned from the plan — the attempt decides nothing.
+// Phases 1 and 2, shared by both scatter paths: sample and sort the
+// hashed keys, then build the bucket plan. Reseeds ctx.base from
+// (params.seed, salt) first, so a CAS retry draws fresh randomness.
 template <typename Record, typename GetKey>
-bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
-                      GetKey get_key, const semisort_params& params,
-                      scatter_path path, double alpha, uint64_t attempt_salt,
-                      pipeline_context& ctx) {
-  size_t n = in.size();
-  arena_scope attempt_frame(ctx.scratch);
-  ctx.base = rng(splitmix64(params.seed + 0x9e3779b9ULL * attempt_salt));
-  rng& base = ctx.base;
+bucket_plan sample_and_build_buckets(std::span<const Record> in,
+                                     GetKey get_key,
+                                     const semisort_params& params,
+                                     double alpha, uint64_t salt,
+                                     pipeline_context& ctx,
+                                     size_t& sample_size) {
+  ctx.base = rng(splitmix64(params.seed + 0x9e3779b9ULL * salt));
   phase_timer* pt = params.timings;
   if (pt != nullptr) pt->start();
 
   // Phase 1 — sample and sort.
   std::span<uint64_t> sample =
-      sample_keys(in, get_key, params.sampling_p, base.split(1), ctx);
+      sample_keys(in, get_key, params.sampling_p, ctx.base.split(1), ctx);
   switch (params.sample_sort_with) {
     case semisort_params::sample_sorter::radix:
       internal::radix_sort_sample(sample, ctx.scratch);
@@ -238,19 +238,97 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
       break;
   }
   if (pt != nullptr) pt->record("sample and sort");
+  sample_size = sample.size();
 
   // Phase 2 — construct buckets.
-  bucket_plan plan = build_bucket_plan(std::span<const uint64_t>(sample), n,
-                                       params, alpha, ctx);
+  bucket_plan plan = build_bucket_plan(std::span<const uint64_t>(sample),
+                                       in.size(), params, alpha, ctx);
   if (pt != nullptr) pt->record("construct buckets");
+  return plan;
+}
 
-  // Phase 3 — scatter (path pinned by the plan; see core/planner.h).
+// The default general path: sample → buckets → exact-offset distribution
+// into `out` → in-place local sort of the light buckets. Four phases; it
+// cannot overflow, so it runs once. When `out` aliases `in`, the input is
+// first copied into one n-record arena buffer, which the distribution then
+// reads — every later phase has the same shape either way.
+template <typename Record, typename GetKey>
+void semisort_exact(std::span<const Record> in, std::span<Record> out,
+                    GetKey get_key, const semisort_params& params,
+                    bool aliased, pipeline_context& ctx) {
+  size_t n = in.size();
+  arena_scope frame(ctx.scratch);
+  phase_timer* pt = params.timings;
+  size_t sample_size = 0;
+  bucket_plan plan = sample_and_build_buckets(in, get_key, params,
+                                              params.alpha, 0, ctx,
+                                              sample_size);
+
+  // Phase 3 — exact-offset distribution.
+  std::span<const Record> src = in;
+  if (aliased) {
+    Record* stage = ctx.scratch.alloc<Record>(n);
+    parallel_for_blocks(n, scan_block_size(n),
+                        [&](size_t, size_t lo, size_t hi) {
+                          simd::copy_records(stage + lo, in.data() + lo,
+                                             hi - lo);
+                        });
+    src = std::span<const Record>(stage, n);
+  }
+  std::span<const size_t> start = scatter_blocked(src, out, plan, get_key, ctx);
+  if (pt != nullptr) pt->record("scatter");
+
+  // Phase 4 — local sort, in place in `out`.
+  std::atomic<bool> local_kernel_used{false};
+  local_sort_exact_buckets(
+      out, start, plan.num_heavy, get_key, params,
+      params.stats != nullptr ? &local_kernel_used : nullptr);
+  if (pt != nullptr) pt->record("local sort");
+
+  if (params.stats != nullptr) {
+    // Everything comes from the bucket starts: no slot array, no retry,
+    // no pack.
+    semisort_stats& st = *params.stats;
+    st.n = n;
+    st.sample_size = sample_size;
+    st.num_heavy_keys = plan.num_heavy;
+    st.num_light_buckets = plan.num_light;
+    st.heavy_records = start[plan.num_heavy];
+    st.heavy_slots = start[plan.num_heavy];
+    st.total_slots = n;
+    st.restarts = 0;
+    st.scatter_path_used = scatter_path::blocked;
+    st.simd_hash_width = sample_size > 0 ? simd::kWidthBits : 0;
+    st.simd_local_sort_width =
+        local_kernel_used.load(std::memory_order_relaxed) ? simd::kWidthBits
+                                                          : 0;
+    st.simd_pack_width = 0;
+  }
+}
+
+// One Las-Vegas attempt of the paper's five-phase pipeline on the CAS
+// ablation path: α·f(s)-sized slot array, CAS scatter, compaction + local
+// sort, pack. Returns false on bucket overflow or a sentinel clash.
+template <typename Record, typename GetKey>
+bool semisort_cas_attempt(std::span<const Record> in, std::span<Record> out,
+                          GetKey get_key, const semisort_params& params,
+                          double alpha, uint64_t attempt_salt,
+                          pipeline_context& ctx) {
+  size_t n = in.size();
+  arena_scope attempt_frame(ctx.scratch);
+  phase_timer* pt = params.timings;
+  size_t sample_size = 0;
+  bucket_plan plan = sample_and_build_buckets(in, get_key, params, alpha,
+                                              attempt_salt, ctx, sample_size);
+  rng& base = ctx.base;
+
+  // Phase 3 — CAS scatter into the slot array.
   scatter_storage<Record> storage(plan.total_slots, base.split(2).next() | 1,
                                   &ctx);
   scatter_probe_stats probe;
-  scatter_result result = scatter_dispatch(
-      path, in, storage, plan, get_key, params, base.split(3), ctx,
-      params.stats != nullptr ? &probe : nullptr);
+  scatter_result result =
+      scatter_records(in, storage, plan, get_key, params, base.split(3),
+                      params.stats != nullptr ? &probe : nullptr);
   if (pt != nullptr) pt->record("scatter");
   if (result != scatter_result::ok) return false;
 
@@ -258,12 +336,9 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
   std::span<size_t> light_counts(ctx.scratch.alloc<size_t>(plan.num_light),
                                  plan.num_light);
   std::atomic<bool> local_kernel_used{false};
-  // The blocked path fills each bucket front-to-back, so the local sort
-  // can treat occupancy as a prefix and skip the hole sweep.
   local_sort_light_buckets(
       storage, plan, get_key, params, light_counts,
-      params.stats != nullptr ? &local_kernel_used : nullptr,
-      /*dense_storage=*/path == scatter_path::blocked);
+      params.stats != nullptr ? &local_kernel_used : nullptr);
   if (pt != nullptr) pt->record("local sort");
 
   // Stats are gathered before the pack so that `out` may alias `in`
@@ -272,7 +347,7 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
   if (params.stats != nullptr) {
     semisort_stats& st = *params.stats;
     st.n = n;
-    st.sample_size = sample.size();
+    st.sample_size = sample_size;
     st.num_heavy_keys = plan.num_heavy;
     st.num_light_buckets = plan.num_light;
     st.total_slots = plan.total_slots;
@@ -288,19 +363,15 @@ bool semisort_attempt(std::span<const Record> in, std::span<Record> out,
                     return plan.heavy_table->contains(get_key(in[i])) ? 1 : 0;
                   },
                   0, sums);
-    // The probe histogram only means something on the CAS path; the
-    // blocked path never probes and leaves it all-zero.
-    st.scatter_path_used = path;
-    if (path == scatter_path::cas) {
-      for (size_t b = 0; b < semisort_stats::kProbeBins; ++b)
-        st.probe_hist[b] = probe.bins[b].load(std::memory_order_relaxed);
-      st.max_probe = probe.max.load(std::memory_order_relaxed);
-    }
+    st.scatter_path_used = scatter_path::cas;
+    for (size_t b = 0; b < semisort_stats::kProbeBins; ++b)
+      st.probe_hist[b] = probe.bins[b].load(std::memory_order_relaxed);
+    st.max_probe = probe.max.load(std::memory_order_relaxed);
     // Per-phase SIMD engagement (width contract documented in params.h:
     // 256/128 vector tier, 64 scalar tier, 0 no accelerated kernel on the
-    // path this run took — blocked counting has no scan kernel).
-    st.simd_hash_width = sample.size() > 0 ? simd::kWidthBits : 0;
-    if (path == scatter_path::cas && scatter_storage<Record>::kKeyCas) {
+    // path this run took).
+    st.simd_hash_width = sample_size > 0 ? simd::kWidthBits : 0;
+    if constexpr (scatter_storage<Record>::kKeyCas) {
       st.simd_scatter_width = (simd::kEnabled && !simd::kTsan)
                                   ? simd::probe_width<sizeof(Record)>()
                                   : 64;
@@ -335,8 +406,9 @@ void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
                           const char* who);
 
 // Runs an in-memory (unsharded) plan inside an already-bound frame:
-// counting kernels when the plan accepted a dense domain, the Las-Vegas
-// attempt loop with the plan's pinned scatter path otherwise.
+// counting kernels when the plan accepted a dense domain, the exact-offset
+// path when the plan pinned blocked scatter, and the Las-Vegas attempt
+// loop on the CAS ablation path.
 template <typename Record, typename GetKey>
 void execute_in_memory_plan(std::span<const Record> in, std::span<Record> out,
                             GetKey get_key, const semisort_params& params,
@@ -352,11 +424,16 @@ void execute_in_memory_plan(std::span<const Record> in, std::span<Record> out,
     bind.finalize(params.stats);
     return;
   }
+  if (plan.scatter == scatter_path::blocked) {
+    semisort_exact(in, out, get_key, params, aliased, bind.ctx());
+    bind.finalize(params.stats);
+    return;
+  }
   double alpha = params.alpha;
   for (int attempt = 0; attempt <= params.max_retries; ++attempt) {
     if (params.timings != nullptr && attempt > 0) params.timings->clear();
-    if (semisort_attempt(in, out, get_key, params, plan.scatter, alpha,
-                         static_cast<uint64_t>(attempt), bind.ctx())) {
+    if (semisort_cas_attempt(in, out, get_key, params, alpha,
+                             static_cast<uint64_t>(attempt), bind.ctx())) {
       if (params.stats != nullptr) params.stats->restarts = attempt;
       bind.finalize(params.stats);
       return;

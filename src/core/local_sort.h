@@ -1,11 +1,16 @@
 // Phase 4 — local sort of the light buckets (§4 Phase 4; step 7c of Alg. 1).
 //
-// Each light bucket is first compacted in place (occupied slots move to the
-// bucket's start, preserving order) and then semisorted. Buckets are
-// processed in parallel but each bucket sequentially: w.h.p. a light bucket
-// holds O(log²n) records over O(log²n) distinct keys, so the per-bucket
-// work is tiny, cache-resident, and there are far more buckets than
-// workers.
+// Every light bucket is semisorted in place. Buckets are processed in
+// parallel but each bucket sequentially: w.h.p. a light bucket holds
+// O(log²n) records over O(log²n) distinct keys, so the per-bucket work is
+// tiny, cache-resident, and there are far more buckets than workers.
+//
+// On the default (exact-offset) path each bucket is already a dense range
+// [start[b], start[b+1]) of the output, so sort_bucket runs on it directly
+// (local_sort_exact_buckets). On the CAS ablation path the bucket's records
+// sit among holes of its slot range; local_sort_light_buckets first
+// compacts them to the range's start, preserving order, and Phase 5 packs
+// them out afterwards.
 //
 // Two per-bucket algorithms:
 //   * std_sort — the paper's final choice (§4): introsort by hashed key.
@@ -21,16 +26,16 @@
 // to kMsdStackMax records take an MSD byte-pass radix over the hashed key
 // whose groups are finished by those same networks, and every other size
 // keeps introsort.
-// Compaction is accelerated too: bucket occupancy lives in the slots' key
-// words, so the leading dense run is measured 4 slots per step
-// (simd::occupied_prefix_len), which turns compaction into a no-op for the
-// front-to-back-filling scatter paths. Everything falls back to the
-// std_sort + two-pointer-sweep reference shapes for non-trivially-copyable
-// records and under PARSEMI_SIMD=OFF.
+// The CAS path's compaction is accelerated too: bucket occupancy lives in
+// the slots' key words, so the leading dense run is measured 4 slots per
+// step (simd::occupied_prefix_len). Everything falls back to the std_sort +
+// two-pointer-sweep reference shapes for non-trivially-copyable records and
+// under PARSEMI_SIMD=OFF.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -244,24 +249,79 @@ void counting_sort_by_naming(std::span<Record> bucket, GetKey& get_key) {
   std::copy(tmp, tmp + n, bucket.begin());
 }
 
+// Semisorts one bucket in place with params.local_sort. Returns whether
+// an accelerated kernel (sorting network or MSD byte sort) engaged.
+template <typename Record, typename GetKey>
+bool sort_bucket(std::span<Record> bucket, GetKey& get_key,
+                 const semisort_params& params) {
+  size_t count = bucket.size();
+  if (params.local_sort ==
+      semisort_params::local_sort_algo::counting_by_naming) {
+    counting_sort_by_naming(bucket, get_key);
+    return false;
+  }
+  if constexpr (network_sortable<Record> && simd::kEnabled) {
+    if (count > 1 && count <= kNetworkMax) {
+      network_sort(bucket.data(), count, get_key);
+      return true;
+    }
+    if (count >= kMsdMinBucket && count <= kMsdStackMax) {
+      msd_bucket_sort(bucket, get_key);
+      return true;
+    }
+  }
+  if (count > 1) {
+    std::sort(bucket.begin(), bucket.end(),
+              [&](const Record& a, const Record& b) {
+                return get_key(a) < get_key(b);
+              });
+  }
+  return false;
+}
+
+// Relaxed flag, set at most a handful of times: it only answers "did any
+// bucket engage", read after the join.
+inline void note_kernel_used(std::atomic<bool>* kernel_used) {
+  if (kernel_used != nullptr &&
+      !kernel_used->load(std::memory_order_relaxed))
+    kernel_used->store(true, std::memory_order_relaxed);
+}
+
 }  // namespace internal
 
-// Compacts and semisorts every light bucket; light_counts[j] (a span of
-// plan.num_light elements, typically arena-allocated by the attempt loop)
-// receives the number of records in light bucket j after compaction.
-// `kernel_used` (optional) is set when at least one bucket engaged an
-// accelerated kernel (prefix-scan compaction, sorting network, or the MSD
-// byte sort) — it feeds semisort_stats::simd_local_sort_width.
-// `dense_storage` promises that every bucket's occupied slots form a
-// prefix (the blocked scatter path fills buckets front-to-back);
-// compaction then reduces to measuring that prefix.
+// The exact-offset path's Phase 4: `data` holds every record grouped by
+// bucket, bucket b at [start[b], start[b + 1]) (core/scatter.h's
+// scatter_blocked); semisorts the light buckets — ids num_heavy and up —
+// in place. `kernel_used` (optional) is set when at least one bucket
+// engaged an accelerated kernel — it feeds
+// semisort_stats::simd_local_sort_width.
+template <typename Record, typename GetKey>
+void local_sort_exact_buckets(std::span<Record> data,
+                              std::span<const size_t> start, size_t num_heavy,
+                              GetKey get_key, const semisort_params& params,
+                              std::atomic<bool>* kernel_used = nullptr) {
+  parallel_for(
+      num_heavy, start.size() - 1,
+      [&](size_t b) {
+        std::span<Record> bucket =
+            data.subspan(start[b], start[b + 1] - start[b]);
+        if (internal::sort_bucket(bucket, get_key, params))
+          internal::note_kernel_used(kernel_used);
+      },
+      1);
+}
+
+// The CAS path's Phase 4: compacts and semisorts every light bucket of
+// `storage`; light_counts[j] (a span of plan.num_light elements, typically
+// arena-allocated by the attempt) receives the number of records in light
+// bucket j after compaction. `kernel_used` as above; the vectorized
+// compaction also counts as engagement.
 template <typename Record, typename GetKey>
 void local_sort_light_buckets(scatter_storage<Record>& storage,
                               const bucket_plan& plan, GetKey get_key,
                               const semisort_params& params,
                               std::span<size_t> light_counts,
-                              std::atomic<bool>* kernel_used = nullptr,
-                              bool dense_storage = false) {
+                              std::atomic<bool>* kernel_used = nullptr) {
   parallel_for(
       0, plan.num_light,
       [&](size_t j) {
@@ -278,66 +338,31 @@ void local_sort_light_buckets(scatter_storage<Record>& storage,
               storage.slots.data() + lo, hi - lo, storage.sentinel);
           w = lo + d;
           engaged = true;
-          if (!dense_storage) {
-            // CAS path: holes interleave. From the first hole on, compact
-            // branchlessly — copy unconditionally, advance the write index
-            // by the occupancy bit, so the scan never mispredicts. Safe:
-            // w ≤ r throughout, and slots between the compacted prefix and
-            // `hi` are never read again (pack copies only the prefix).
-            // Trivially-copyable only: unoccupied slots hold uninitialized
-            // payload bytes, which a raw copy may move but a user-defined
-            // assignment must not see.
-            for (size_t r = w; r < hi; ++r) {
-              storage.slots[w] = storage.slots[r];
-              w += storage.occupied(r) ? 1 : 0;
-            }
+          // Holes interleave. From the first hole on, compact branchlessly
+          // — copy unconditionally, advance the write index by the
+          // occupancy bit, so the scan never mispredicts. Safe: w ≤ r
+          // throughout, and slots between the compacted prefix and `hi`
+          // are never read again (pack copies only the prefix).
+          // Trivially-copyable only: unoccupied slots hold uninitialized
+          // payload bytes, which a raw copy may move but a user-defined
+          // assignment must not see.
+          for (size_t r = w; r < hi; ++r) {
+            storage.slots[w] = storage.slots[r];
+            w += storage.occupied(r) ? 1 : 0;
           }
         } else {
-          if (dense_storage) {
-            while (w < hi && storage.occupied(w)) ++w;
-          } else {
-            // Order-preserving two-pointer sweep.
-            for (size_t r = lo; r < hi; ++r) {
-              if (storage.occupied(r)) {
-                if (w != r) storage.slots[w] = storage.slots[r];
-                ++w;
-              }
+          // Order-preserving two-pointer sweep.
+          for (size_t r = lo; r < hi; ++r) {
+            if (storage.occupied(r)) {
+              if (w != r) storage.slots[w] = storage.slots[r];
+              ++w;
             }
           }
         }
         light_counts[j] = w - lo;
-        size_t count = w - lo;
-        std::span<Record> bucket(storage.slots.data() + lo, count);
-        if (params.local_sort ==
-            semisort_params::local_sort_algo::counting_by_naming) {
-          internal::counting_sort_by_naming(bucket, get_key);
-        } else if constexpr (internal::network_sortable<Record> &&
-                             simd::kEnabled) {
-          if (count > 1 && count <= internal::kNetworkMax) {
-            internal::network_sort(bucket.data(), count, get_key);
-            engaged = true;
-          } else if (count >= internal::kMsdMinBucket &&
-                     count <= internal::kMsdStackMax) {
-            internal::msd_bucket_sort(bucket, get_key);
-            engaged = true;
-          } else if (count > 1) {
-            std::sort(bucket.begin(), bucket.end(),
-                      [&](const Record& a, const Record& b) {
-                        return get_key(a) < get_key(b);
-                      });
-          }
-        } else {
-          std::sort(bucket.begin(), bucket.end(),
-                    [&](const Record& a, const Record& b) {
-                      return get_key(a) < get_key(b);
-                    });
-        }
-        if (engaged && kernel_used != nullptr &&
-            !kernel_used->load(std::memory_order_relaxed)) {
-          // Relaxed flag, set at most a handful of times: it only answers
-          // "did any bucket engage", read after the join.
-          kernel_used->store(true, std::memory_order_relaxed);
-        }
+        std::span<Record> bucket(storage.slots.data() + lo, w - lo);
+        if (internal::sort_bucket(bucket, get_key, params)) engaged = true;
+        if (engaged) internal::note_kernel_used(kernel_used);
       },
       1);
 }

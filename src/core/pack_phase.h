@@ -1,4 +1,6 @@
-// Phase 5 — packing (§4 Phase 5; step 8 of Alg. 1).
+// Phase 5 — packing (§4 Phase 5; step 8 of Alg. 1). Runs on the CAS
+// ablation path only: the default exact-offset distribution writes every
+// record to its final offset, so it has no slack to pack out.
 //
 // Heavy region: the slot array up to heavy_slots_end is cut into ~1000
 // intervals; each interval is compacted in place sequentially (intervals in
@@ -59,11 +61,9 @@ size_t pack_output(scatter_storage<Record>& storage, const bucket_plan& plan,
             // Run-based compaction: run boundaries are found 4 slots per
             // step by the sentinel-scan kernels and each occupied run
             // moves with one memmove — the leading dense prefix (w == r)
-            // moves nothing at all. The blocked path fills each
-            // bucket front-to-back, so a bucket contributes one occupied
-            // and one hole run and the sweep is a handful of bulk moves;
-            // the CAS path's random holes just make the runs short (still
-            // correct, the scans simply alternate faster). w ≤ r
+            // moves nothing at all. The CAS path's random holes make
+            // the runs short (still correct, the scans simply alternate
+            // faster). w ≤ r
             // throughout; only the compacted prefix is copied out below,
             // so the stale tail is never read.
             size_t r = lo;

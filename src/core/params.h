@@ -2,7 +2,8 @@
 //
 // Defaults are the paper's (§4): sampling probability p = 1/16, heavy
 // threshold δ = 16, 2^16 light-key hash ranges, bucket sizes 1.1·f(s) with
-// c = 1.25, adjacent-light-bucket merging on. Two documented deviations:
+// c = 1.25 (allocated on the CAS ablation path only), adjacent-light-bucket
+// merging on. Two documented deviations:
 // capacities are not rounded up to powers of two (see round_to_pow2), and
 // light buckets merge to a fixed sample occupancy rather than bare δ (see
 // light_bucket_samples); both knobs restore the paper's literal choices.
@@ -25,8 +26,9 @@ struct semisort_plan;  // core/exec_plan.h
 // The Phase 3 placement strategy a run actually executed (core/scatter.h):
 //   cas     — one CAS + probe per record (the paper's §4 scatter, kept as
 //             the paper-literal ablation)
-//   blocked — two-pass per-block counting with contention-free, stable
-//             placement (zero atomics; the default)
+//   blocked — exact-offset distribution: per-block counting, then every
+//             record written straight to its final output offset (zero
+//             atomics, stable; the default)
 enum class scatter_path : uint8_t { cas, blocked };
 
 inline const char* to_string(scatter_path p) {
@@ -39,7 +41,7 @@ inline const char* to_string(scatter_path p) {
 
 // The front-end path a call actually executed (core/dispatch.h) — selected
 // *above* the pipeline from the key domain and the requested result shape:
-//   general  — the paper's full hash–sample–scatter Las-Vegas pipeline
+//   general  — the paper's hash–sample–scatter pipeline
 //   counting — stable counting placement over a small dense integer key
 //              domain: one blocked pass for widths ≤ 2^16, two 16-bit-digit
 //              LSB passes up to 2^32 (Dong et al. 2024 style). Deterministic
@@ -86,9 +88,13 @@ struct semisort_stats {
   size_t num_heavy_keys = 0;
   size_t num_light_buckets = 0;   // after merging
   size_t heavy_records = 0;       // records routed to heavy buckets
-  size_t total_slots = 0;         // allocated bucket storage (slots)
+  // Allocated bucket storage (slots) and its heavy share. The default
+  // exact-offset path allocates none — total_slots = n and heavy_slots =
+  // heavy_records, so slots_per_record() is 1.0; the CAS path reports its
+  // α·f(s)-sized slot array.
+  size_t total_slots = 0;
   size_t heavy_slots = 0;
-  int restarts = 0;               // Las-Vegas retries (overflow etc.)
+  int restarts = 0;               // Las-Vegas retries (CAS path only)
 
   // Memory plan of the call (core/arena.h): high-water scratch footprint,
   // bump allocations served, and the arena capacity afterwards. With a
@@ -166,7 +172,8 @@ struct semisort_stats {
   size_t simd_hash_width = 0;        // batched sample-position + key hashing
   size_t simd_scatter_width = 0;     // CAS probe prescan
   size_t simd_local_sort_width = 0;  // sorting networks on light buckets
-  size_t simd_pack_width = 0;        // widened record-run copies
+  size_t simd_pack_width = 0;        // widened record-run copies (CAS
+                                     // path's pack; 0 on the default path)
 
   double heavy_fraction() const {
     return n == 0 ? 0.0 : static_cast<double>(heavy_records) / static_cast<double>(n);
@@ -193,6 +200,9 @@ struct semisort_params {
   double sampling_p = 1.0 / 16.0;   // each record sampled with prob. p
   size_t delta = 16;                // heavy ⟺ ≥ δ occurrences in the sample
   size_t num_hash_ranges = 1 << 16; // light-key partition of the hash space
+  // c and alpha size the α·f(s) bucket capacities, which only the CAS
+  // ablation path allocates; the default exact-offset path sizes every
+  // bucket from its exact count and ignores both.
   double c = 1.25;                  // Chernoff constant in f(s)  (§3.1)
   double alpha = 1.1;               // slack factor on f(s)
   // The paper rounds bucket capacities up to a power of two; our probing
@@ -231,9 +241,11 @@ struct semisort_params {
   };
   probe_strategy probing = probe_strategy::linear;
 
-  // Phase 3 placement engine (core/scatter.h). `blocked` — exact-count,
-  // stable placement — is the default at every n, bucket count and record
-  // size; `cas` pins the paper's §4 scatter for the ablation benches. The
+  // Phase 3 placement engine (core/scatter.h). `blocked` — exact-offset,
+  // stable distribution straight into the output, four phases — is the
+  // default at every n, bucket count and record size; `cas` pins the
+  // paper's §4 scatter (α·f(s) slot array, Las-Vegas retry, Phase 5 pack)
+  // for the ablation benches. The
   // PARSEMI_SCATTER_PATH environment variable (cas / blocked) overrides
   // this knob without recompiling. `probing` applies to the CAS path only,
   // so random probing also selects CAS and the ablation measures what it
@@ -263,11 +275,14 @@ struct semisort_params {
   enum class overlap_strategy : uint8_t { adaptive, on, off };
   overlap_strategy shard_overlap = overlap_strategy::adaptive;
 
-  size_t pack_intervals = 1000;     // §4 Phase 5 heavy-region pack intervals
+  size_t pack_intervals = 1000;     // §4 Phase 5 heavy-region pack
+                                    // intervals (CAS path only: the
+                                    // default path has no pack)
 
   // --- robustness / bookkeeping ---
   uint64_t seed = 42;               // randomness for sampling & scatter
-  int max_retries = 4;              // restarts (α doubles each time)
+  int max_retries = 4;              // CAS-path restarts (α doubles each
+                                    // time); the default path cannot fail
   size_t sequential_cutoff = 256;   // below this, just std::sort by key
   // Byte ceiling on input + scratch held in memory at once. 0 = unset: the
   // PARSEMI_MEMORY_BUDGET environment variable applies if present, else

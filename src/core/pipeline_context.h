@@ -89,8 +89,8 @@ struct scratch_model {
 struct pipeline_context {
   arena scratch;
 
-  // Per-attempt stream; the Las-Vegas retry loop reseeds it from
-  // (params.seed, attempt) so retries draw fresh randomness.
+  // Per-call stream, reseeded from (params.seed, attempt) — the CAS path's
+  // Las-Vegas retries thereby draw fresh randomness.
   rng base{0};
 
   // Borrowed from semisort_params for the duration of one call.

@@ -1,33 +1,37 @@
 // Phase 3 — the scatter engine (§4 Phase 3; steps 6b and 7b of Alg. 1).
 //
-// Two interchangeable placement strategies behind one dispatch:
+// Two placement strategies:
 //
-//   * blocked (the default): two-pass exact counting, the per-(block,
-//     bucket) distribution of Dong et al. 2024. Pass 1 builds per-block
-//     bucket histograms (primitives/histogram.h); a strided column scan
-//     over the (block × bucket) matrix (primitives/scan.h) turns them into
-//     exact placement offsets — overflow is detected here, before any slot
-//     is written; pass 2 places contention-free with zero atomics.
-//     Placement is deterministic and stable at every worker count.
+//   * blocked (the default): exact-offset distribution by bucket id, the
+//     per-(block, bucket) counting distribution of Dong et al. 2024. Pass 1
+//     builds per-block bucket histograms (primitives/histogram.h); column
+//     sums give each bucket's exact total, one exclusive scan over the
+//     totals gives each bucket's start, and a strided column scan seeded
+//     with that start (primitives/scan.h) turns the (block × bucket) matrix
+//     into write cursors. Pass 2 writes every record straight to its final
+//     offset in the output — zero atomics, no slack slots, no sentinel, no
+//     overflow, nothing left to pack. Placement is stable and deterministic
+//     at every worker count.
 //   * CAS (the paper's §4 scatter, kept as the paper-literal ablation):
-//     every record claims a random slot of its bucket with a
-//     compare-and-swap, linear-probing on collision — one atomic and one
-//     random cache-line miss per record.
+//     every record claims a random slot of its bucket's α·f(s)-sized range
+//     in a slot array (scatter_storage) with a compare-and-swap,
+//     linear-probing on collision — one atomic and one random cache-line
+//     miss per record. Capacities are estimates, so this path can overflow
+//     (Las-Vegas retry with doubled α) and needs Phase 5 to pack the slack
+//     out (core/pack_phase.h).
 //
 // choose_scatter_path returns blocked unless the CAS ablation is asked
 // for: semisort_params::scatter_with = cas (or the PARSEMI_SCATTER_PATH
 // environment override), or random probing, which only exists on CAS.
 //
-// Slot claiming on the CAS path has two modes (the occupancy metadata they
-// maintain — key word vs flag byte — is shared by both paths):
+// Slot claiming on the CAS path has two modes:
 //   * key-CAS (the paper's): for standard-layout records whose first 8
 //     bytes are the `key` word, the slot's key word doubles as the occupancy
 //     flag — empty slots hold a per-run random sentinel, and the CAS that
 //     claims a slot simultaneously writes the key. One atomic op and one
 //     cache line per record. A record whose key happens to equal the
 //     sentinel (probability n·2⁻⁶⁴) is detected and triggers a restart with
-//     a fresh sentinel, so correctness never depends on luck — the blocked
-//     path performs the same check while counting.
+//     a fresh sentinel, so correctness never depends on luck.
 //   * flag-array: for arbitrary record types, a byte per slot is CAS'd from
 //     0→1 and the record is then stored plainly (the parallel_for join that
 //     ends the phase publishes the stores).
@@ -72,8 +76,8 @@ constexpr bool key_cas_eligible() {
 
 }  // namespace internal
 
-// The bucket backing array plus occupancy metadata for one semisort run.
-// With a pipeline_context the (large) slot array and flag bytes are served
+// The CAS path's bucket slot array plus occupancy metadata for one
+// attempt. With a pipeline_context the (large) slot array and flag bytes are served
 // from its arena — repeated semisorts then skip both the allocation and its
 // first-touch page faults; without one the storage is owned (one fresh
 // allocation per run, as before the arena).
@@ -167,16 +171,6 @@ struct scatter_storage {
       return true;
     }
   }
-
-  // Exclusive-ownership store for the blocked path: the counting pass gave
-  // the caller slot `i` alone, so a plain write suffices — the parallel_for
-  // join that ends the scatter publishes it. Marks the slot occupied (flag
-  // byte in flag mode; in key-CAS mode the copied key word does it, the
-  // sentinel clash having been ruled out upstream).
-  void place(size_t i, const Record& rec) {
-    slots[i] = rec;
-    if constexpr (!kKeyCas) flags[i] = 1;
-  }
 };
 
 enum class scatter_result { ok, overflow, sentinel_clash };
@@ -209,7 +203,8 @@ struct scatter_probe_stats {
   }
 };
 
-// Places every input record into a slot of its bucket. Returns `overflow`
+// The CAS path: places every input record into a slot of its bucket's
+// range in `storage`. Returns `overflow`
 // if some bucket had no free slot (caller retries with larger α), and
 // `sentinel_clash` in key-CAS mode if an input key equals the sentinel
 // (caller retries with a fresh sentinel).
@@ -312,58 +307,55 @@ scatter_result scatter_records(std::span<const Record> in,
   return scatter_result::ok;
 }
 
-// Blocked two-pass counting scatter: per-block bucket histograms, a strided
-// column scan converting them to absolute destinations (with the overflow
-// check folded in, before any slot is touched), then contention-free
-// placement — zero atomics on the placement pass, and a deterministic,
-// stable layout (input order preserved within each bucket) at every worker
-// count. All scratch comes from ctx's arena.
+// Exact-offset distribution: writes every record of `in` to its final
+// position in `dst` (same length, must not alias `in`), grouped by bucket
+// id in bucket order — heavy buckets first, then light — and stable within
+// each bucket. Returns the num_buckets + 1 bucket starts: bucket b occupies
+// dst[start[b], start[b + 1]), and start[num_buckets] == n. The starts and
+// all other scratch come from ctx's arena.
 template <typename Record, typename GetKey>
-scatter_result scatter_blocked(std::span<const Record> in,
-                               scatter_storage<Record>& storage,
-                               const bucket_plan& plan, GetKey get_key,
-                               pipeline_context& ctx) {
+std::span<const size_t> scatter_blocked(std::span<const Record> in,
+                                        std::span<Record> dst,
+                                        const bucket_plan& plan,
+                                        GetKey get_key, pipeline_context& ctx) {
   size_t n = in.size();
   size_t num_buckets = plan.num_buckets();
   size_t block = histogram_block_size(n, num_buckets);
   size_t num_blocks = histogram_num_blocks(n, block);
   size_t* counts = ctx.scratch.alloc<size_t>(num_blocks * num_buckets);
+  std::span<size_t> start(ctx.scratch.alloc<size_t>(num_buckets + 1),
+                          num_buckets + 1);
 
-  // Pass 1 — count, folding in the sentinel-clash scan (the CAS path pays
-  // the same check per record).
-  std::atomic<bool> clash{false};
-  histogram_blocks(n, block, num_buckets, counts, [&](size_t i) {
-    const Record& rec = in[i];
-    if constexpr (scatter_storage<Record>::kKeyCas) {
-      if (rec.key == storage.sentinel)
-        clash.store(true, std::memory_order_relaxed);
-    }
-    return plan.bucket_of(get_key(rec));
-  });
-  if (clash.load(std::memory_order_relaxed))
-    return scatter_result::sentinel_clash;
+  // Pass 1 — count.
+  auto bucket_at = [&](size_t i) { return plan.bucket_of(get_key(in[i])); };
+  histogram_blocks(n, block, num_buckets, counts, bucket_at);
 
-  // Column scan: counts[blk][b] becomes the absolute slot where block blk
-  // starts writing bucket b. Exact totals are known here, so overflow is
-  // detected before a single record moves.
-  std::atomic<bool> overflow{false};
+  // Bucket totals (column sums), then one exclusive scan over them: start[b]
+  // becomes bucket b's exact first offset.
   parallel_for(0, num_buckets, [&](size_t b) {
-    size_t end = scan_exclusive_strided(counts + b, num_blocks, num_buckets,
-                                        plan.bucket_offset[b]);
-    if (end - plan.bucket_offset[b] > plan.capacity_of(b))
-      overflow.store(true, std::memory_order_relaxed);
+    size_t sum = 0;
+    for (size_t blk = 0; blk < num_blocks; ++blk)
+      sum += counts[blk * num_buckets + b];
+    start[b] = sum;
   });
-  if (overflow.load(std::memory_order_relaxed))
-    return scatter_result::overflow;
+  start[num_buckets] = 0;
+  size_t scan_blocks = internal::scan_num_blocks(num_buckets + 1);
+  scan_exclusive_inplace(
+      start, size_t{0},
+      std::span<size_t>(ctx.scratch.alloc<size_t>(scan_blocks), scan_blocks));
+
+  // Column scan seeded with each bucket's start: counts[blk][b] becomes the
+  // offset where block blk writes its first record of bucket b.
+  parallel_for(0, num_buckets, [&](size_t b) {
+    scan_exclusive_strided(counts + b, num_blocks, num_buckets, start[b]);
+  });
 
   // Pass 2 — place. Each block owns disjoint destination ranges per bucket.
   parallel_for_blocks(n, block, [&](size_t blk, size_t lo, size_t hi) {
-    size_t* local = counts + blk * num_buckets;
-    for (size_t i = lo; i < hi; ++i) {
-      storage.place(local[plan.bucket_of(get_key(in[i]))]++, in[i]);
-    }
+    size_t* cursor = counts + blk * num_buckets;
+    for (size_t i = lo; i < hi; ++i) dst[cursor[bucket_at(i)]++] = in[i];
   });
-  return scatter_result::ok;
+  return start;
 }
 
 // --- path selection ----------------------------------------------------
@@ -391,20 +383,6 @@ inline scatter_path choose_scatter_path(const semisort_params& params) {
       params.probing == semisort_params::probe_strategy::random)
     return scatter_path::cas;
   return scatter_path::blocked;
-}
-
-// Runs the chosen path. `probe` (optional) receives the CAS path's probe
-// histogram; the blocked path never probes.
-template <typename Record, typename GetKey>
-scatter_result scatter_dispatch(scatter_path path, std::span<const Record> in,
-                                scatter_storage<Record>& storage,
-                                const bucket_plan& plan, GetKey get_key,
-                                const semisort_params& params, rng base,
-                                pipeline_context& ctx,
-                                scatter_probe_stats* probe = nullptr) {
-  if (path == scatter_path::blocked)
-    return scatter_blocked(in, storage, plan, get_key, ctx);
-  return scatter_records(in, storage, plan, get_key, params, base, probe);
 }
 
 }  // namespace parsemi

@@ -18,22 +18,28 @@
 // serialize it, and hand it back via semisort_params::plan to skip the
 // probes entirely on subsequent calls over the same key population.
 //
-// Pipeline of the general path (all phases named as in §4, surfaced via
-// params.timings):
+// Pipeline of the default general path (phases named as in §4, surfaced
+// via params.timings):
 //   1. "sample and sort"    — strided sample of hashed keys, radix-sorted
-//   2. "construct buckets"  — heavy/light split, f(s)-sized bucket layout
-//   3. "scatter"            — exact-count blocked placement into each
-//                             bucket (the paper's one-CAS-per-record
-//                             scatter under scatter_with = cas)
-//   4. "local sort"         — compact + sort each light bucket
-//   5. "pack"               — compact everything into the output
-// Bucket overflow (probability ≤ n^{-c+1}/log²n, Corollary 3.4) and the
-// astronomically-unlikely sentinel clash restart the run with doubled α /
-// fresh randomness, making the whole routine Las Vegas.
+//   2. "construct buckets"  — heavy/light split into bucket ids
+//   3. "scatter"            — exact-offset distribution: per-block counts,
+//                             then every record written straight to its
+//                             final offset in the output
+//   4. "local sort"         — sort each light bucket in place in the output
+// Bucket sizes are exact counts, so nothing can overflow and there is no
+// slack to pack out: the call runs once, with no retry.
+//
+// The paper's §4 pipeline remains as the CAS ablation (scatter_with = cas,
+// or random probing): Phase 3 claims a slot of an α·f(s)-sized bucket with
+// one CAS per record, Phase 4 first compacts each light bucket, and a
+// fifth phase, "pack", compacts everything into the output. Bucket
+// overflow (probability ≤ n^{-c+1}/log²n, Corollary 3.4) and the
+// astronomically-unlikely sentinel clash restart that path with doubled α
+// / fresh randomness, making it Las Vegas.
 //
 // Memory plan: every phase draws scratch from one pipeline_context arena
-// (core/pipeline_context.h); each Las-Vegas attempt is an arena checkpoint
-// that is rewound whether the attempt succeeds or not. Callers that pass a
+// (core/pipeline_context.h); the call (and each CAS attempt) is an arena
+// checkpoint that is rewound when it ends. Callers that pass a
 // context via semisort_params::context reuse its capacity across calls —
 // steady state performs zero heap allocations
 // (tests/alloc_regression_test.cpp asserts this).
@@ -164,13 +170,14 @@ void semisort_hashed(std::span<const Record> in, std::span<Record> out,
                                 "semisort_hashed");
 }
 
-// In-place semisort: reorders `data` directly. Works because the
-// algorithm consumes its input during the scatter phase — every record is
-// already in the bucket array before the pack writes the output — and all
-// Las-Vegas retries trigger before the pack, while the input is still
-// intact (the dispatch fast paths stage through arena scratch to keep the
-// same guarantee). Same cost as the copying version minus the output
-// allocation.
+// In-place semisort: reorders `data` directly. The default path copies the
+// input once into an n-record arena buffer at the start of the scatter
+// phase and distributes that buffer into `data`; the CAS ablation consumes
+// its input into the bucket array before the pack writes the output, and
+// all its Las-Vegas retries trigger before the pack, while the input is
+// still intact (the dispatch fast paths stage through arena scratch too).
+// Same cost as the copying version plus one n-record copy, minus the
+// output allocation.
 template <typename Record, typename GetKey = record_key>
 void semisort_hashed_inplace(std::span<Record> data, GetKey get_key = {},
                              const semisort_params& params = {}) {
@@ -191,9 +198,7 @@ void semisort_hashed_inplace(std::span<Record> data, GetKey get_key = {},
 
 // Convenience: returns the semisorted copy. Copy-constructs the output
 // (memcpy for trivial records — no zero initialization) and reorders it in
-// place: the pipeline consumes its input during the scatter before the pack
-// writes the output, so the aliasing is safe, and every Las-Vegas retry
-// triggers before the pack while the copy is still intact.
+// place with semisort_hashed_inplace.
 template <typename Record, typename GetKey = record_key>
 std::vector<Record> semisort_hashed(std::span<const Record> in,
                                     GetKey get_key = {},

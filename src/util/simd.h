@@ -188,12 +188,10 @@ inline unsigned match_key4(const void* p, uint64_t needle) {
 #endif
 }
 
-// occupied_prefix_len — the local-sort compaction kernel: how many leading
-// slots of a bucket hold a record (key word != sentinel). The blocked
-// scatter path fills buckets front-to-back, so this prefix IS the
-// bucket's record count and the per-slot compaction sweep disappears; the
-// CAS path uses it to skip the dense prefix before compacting. Rides the
-// match_key4 lane-extraction (sentinel hits are holes), 4 slots per step.
+// occupied_prefix_len — the CAS path's local-sort compaction kernel: how
+// many leading slots of a bucket hold a record (key word != sentinel), so
+// compaction skips the dense prefix. Rides the match_key4 lane-extraction
+// (sentinel hits are holes), 4 slots per step.
 template <size_t Stride>
 inline size_t occupied_prefix_len(const void* p, size_t count,
                                   uint64_t sentinel) {
@@ -215,9 +213,8 @@ inline size_t occupied_prefix_len(const void* p, size_t count,
 
 // hole_prefix_len — the pack compaction kernel's dual scan: length of the
 // leading all-sentinel run. Together with occupied_prefix_len it walks
-// storage as alternating occupied/hole runs, so dense layouts (the
-// blocked scatter path) compact with a handful of bulk moves
-// instead of one copy per slot.
+// storage as alternating occupied/hole runs, so dense layouts compact
+// with a handful of bulk moves instead of one copy per slot.
 template <size_t Stride>
 inline size_t hole_prefix_len(const void* p, size_t count, uint64_t sentinel) {
   if constexpr (Stride == 16 && kTier > 0) {

@@ -1,20 +1,27 @@
 // The determinism contract (DESIGN.md "Determinism"): with default params,
-// semisort_hashed and semisort_hashed_inplace produce byte-identical output
-// at every worker count. Every default route — counting, offsets, blocked
-// scatter — places records stably, so the only thing the worker count may
-// change is the wall clock. Each cell runs on standalone pools of 1, 2 and
-// 4 workers (routed through params.pool) and compares raw output bytes
-// against the 1-worker run. Only the pinned CAS ablation is exempt: it
-// guarantees the grouping alone.
+// semisort_hashed, semisort_hashed_inplace (which stages its input through
+// the arena) and the derived operators on the tag spine — the general-key
+// semisort, group_by, group_by_hashed and collect_reduce — produce
+// byte-identical output at every worker count. Every default route —
+// counting, offsets, exact-offset distribution — places records stably, so
+// the only thing the worker count may change is the wall clock. Each cell
+// runs on standalone pools of 1, 2 and 4 workers (routed through
+// params.pool) and compares raw output bytes against the 1-worker run.
+// Only the pinned CAS ablation is exempt: it guarantees the grouping alone.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <utility>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/collect_reduce.h"
+#include "core/group_by.h"
 #include "core/semisort.h"
+#include "hashing/hash64.h"
 #include "scheduler/scheduler.h"
 #include "test_helpers.h"
 #include "workloads/distributions.h"
@@ -93,6 +100,70 @@ TEST(Determinism, DefaultRoutesAreByteIdenticalAcrossWorkerCounts) {
                          " keys=" + std::to_string(spec.parameter);
       expect_worker_count_invariant(in, record_key{}, cell + " 16B");
       expect_worker_count_invariant(widen(in), wide_key{}, cell + " 128B");
+    }
+  }
+}
+
+// Runs `op(params)` at 1, 2 and 4 workers; every result must equal the
+// 1-worker result byte for byte.
+template <typename T>
+void expect_operator_invariant(
+    const std::string& cell,
+    const std::function<std::vector<T>(const semisort_params&)>& op) {
+  std::vector<T> ref;
+  for (int workers : {1, 2, 4}) {
+    worker_pool pool(workers);
+    semisort_params params;
+    params.pool = &pool;
+    std::vector<T> got = op(params);
+    if (workers == 1) {
+      ref = std::move(got);
+      continue;
+    }
+    EXPECT_TRUE(same_bytes(got, ref))
+        << cell << ": output differs at " << workers << " workers";
+  }
+}
+
+TEST(Determinism, DerivedOperatorsAreByteIdenticalAcrossWorkerCounts) {
+  auto key_of = [](const record& r) { return r.key; };
+  auto hash = [](uint64_t k) { return hash64(k); };
+  for (size_t n : {size_t{2'000}, size_t{20'000}, size_t{300'000}}) {
+    for (uint64_t keys : {uint64_t{0}, uint64_t{1000}}) {
+      distribution_spec spec{distribution_kind::uniform,
+                             keys == 0 ? n : keys};
+      auto in = generate_records(n, spec, 11 + n);
+      std::span<const record> view(in);
+      std::string cell = "n=" + std::to_string(n) +
+                         " keys=" + std::to_string(spec.parameter);
+
+      expect_operator_invariant<record>(
+          cell + " semisort", [&](const semisort_params& params) {
+            return semisort(view, key_of, hash, std::equal_to<>{}, params);
+          });
+      expect_operator_invariant<record>(
+          cell + " group_by", [&](const semisort_params& params) {
+            auto g = group_by(view, key_of, hash, std::equal_to<>{}, params);
+            // Fold the boundaries into the compared bytes.
+            for (size_t s : g.group_start) g.records.push_back({s, s});
+            return std::move(g.records);
+          });
+      expect_operator_invariant<record>(
+          cell + " group_by_hashed", [&](const semisort_params& params) {
+            auto g = group_by_hashed(view, record_key{}, params);
+            for (size_t s : g.group_start) g.records.push_back({s, s});
+            return std::move(g.records);
+          });
+
+      std::vector<std::pair<uint64_t, uint64_t>> pairs(n);
+      for (size_t i = 0; i < n; ++i) pairs[i] = {in[i].key, in[i].payload};
+      expect_operator_invariant<std::pair<uint64_t, uint64_t>>(
+          cell + " collect_reduce", [&](const semisort_params& params) {
+            return collect_reduce(
+                std::span<const std::pair<uint64_t, uint64_t>>(pairs), hash,
+                [](uint64_t a, uint64_t b) { return a + b; }, uint64_t{0},
+                std::equal_to<>{}, params);
+          });
     }
   }
 }

@@ -1,7 +1,9 @@
 // Failure-injection tests: force every Las-Vegas escape hatch — bucket
-// overflow (Corollary 3.4's unlikely event), sentinel clashes, hash
+// overflow (Corollary 3.4's unlikely event) and sentinel clashes on the CAS
+// ablation path, which is the only path that still has them, and hash
 // collisions in the general API — and verify the algorithm recovers with a
-// correct result rather than crashing or corrupting. The overflow-recovery
+// correct result rather than crashing or corrupting. The default
+// exact-offset path must shrug off the same undersized configuration. The overflow-recovery
 // path is property-based (random undersized configurations, under perturbed
 // schedules, shrunk on failure); the exact-injection cases stay as
 // deterministic regressions, some looped over schedule-fuzz seeds.
@@ -83,6 +85,7 @@ std::optional<std::string> overflow_recovers(const overflow_config& c) {
   // α far below 1 makes first-attempt capacities smaller than the true
   // counts, guaranteeing at least one overflow → retry with doubled α.
   semisort_params params;
+  params.scatter_with = semisort_params::scatter_strategy::cas;
   params.alpha = c.alpha;
   params.round_to_pow2 = false;
   params.max_retries = 12;
@@ -113,6 +116,7 @@ TEST(FailureInjection, UndersizedBucketsTriggerRetryAndStillSucceed) {
 
 TEST(FailureInjection, ZeroRetriesThrowsOnGuaranteedOverflow) {
   semisort_params params;
+  params.scatter_with = semisort_params::scatter_strategy::cas;
   params.alpha = 0.001;
   params.round_to_pow2 = false;
   params.max_retries = 0;
@@ -128,6 +132,25 @@ TEST(FailureInjection, ZeroRetriesThrowsOnGuaranteedOverflow) {
                std::runtime_error);
 }
 
+TEST(FailureInjection, ExactPathSucceedsWithoutRetryOnUndersizedBuckets) {
+  // The default path sizes buckets from exact counts: the α that overflows
+  // the CAS path every time is irrelevant, and no retry is needed.
+  semisort_params params;
+  params.alpha = 0.01;
+  params.round_to_pow2 = false;
+  params.max_retries = 0;
+  semisort_stats stats;
+  params.stats = &stats;
+  auto in = generate_records(100000, {distribution_kind::uniform, 100}, 2);
+  std::vector<record> out(in.size());
+  semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                  record_key{}, params);
+  EXPECT_TRUE(testing::valid_semisort(out, in));
+  EXPECT_EQ(stats.scatter_path_used, scatter_path::blocked);
+  EXPECT_EQ(stats.restarts, 0);
+  EXPECT_EQ(stats.slots_per_record(), 1.0);
+}
+
 TEST(FailureInjection, SentinelClashRetriesTransparently) {
   // Seed the input with every plausible early sentinel so at least the
   // first attempt clashes. The sentinel for attempt k is derived from
@@ -136,6 +159,7 @@ TEST(FailureInjection, SentinelClashRetriesTransparently) {
     sched_fuzz::scoped_enable fuzz(
         sched_fuzz::kCompiledIn ? fuzz_seed : 0);
     semisort_params params;
+    params.scatter_with = semisort_params::scatter_strategy::cas;
     params.seed = 12345;
     semisort_stats stats;
     params.stats = &stats;
@@ -195,6 +219,7 @@ TEST(FailureInjection, TimingsClearedAcrossRetries) {
   // After retries the breakdown must reflect the final (successful)
   // attempt only: exactly five phases, not 5 × attempts.
   semisort_params params;
+  params.scatter_with = semisort_params::scatter_strategy::cas;
   params.alpha = 0.02;
   params.round_to_pow2 = false;
   params.max_retries = 12;

@@ -1,9 +1,11 @@
-// Tests for Phase 4 — light-bucket compaction + per-bucket semisort,
-// including the counting-by-naming variant from §3.
+// Tests for Phase 4 — per-bucket semisort of the light buckets: in place
+// on the exact-offset path's dense output, and compaction + sort on the
+// CAS path's slot array, including the counting-by-naming variant from §3.
 #include "core/local_sort.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -70,6 +72,50 @@ void check_local_sort(semisort_params params, distribution_spec spec) {
   for (const auto& r : st.input)
     if (st.plan.bucket_of(r.key) >= st.plan.num_heavy) expected_light++;
   EXPECT_EQ(total_light, expected_light);
+}
+
+// The exact path: distribute into a dense output, then sort each light
+// bucket in place. Heavy buckets stay exactly as distributed.
+void check_exact_local_sort(semisort_params params, distribution_spec spec) {
+  size_t n = 120000;
+  auto in = generate_records(n, spec, 99);
+  rng base(31);
+  auto sample = sample_keys(std::span<const record>(in), record_key{},
+                            params.sampling_p, base);
+  radix_sort_u64(std::span<uint64_t>(sample));
+  auto plan = build_bucket_plan(std::span<const uint64_t>(sample), n, params,
+                                params.alpha, test_ctx());
+  std::vector<record> out(n);
+  std::span<const size_t> start =
+      scatter_blocked(std::span<const record>(in), std::span<record>(out),
+                      plan, record_key{}, test_ctx());
+  std::vector<record> distributed = out;
+  local_sort_exact_buckets(std::span<record>(out), start, plan.num_heavy,
+                           record_key{}, params);
+  size_t heavy_end = start[plan.num_heavy];
+  EXPECT_TRUE(std::equal(out.begin(), out.begin() + heavy_end,
+                         distributed.begin()));
+  for (size_t b = plan.num_heavy; b < plan.num_buckets(); ++b) {
+    std::span<const record> bucket(out.data() + start[b],
+                                   start[b + 1] - start[b]);
+    ASSERT_TRUE(testing::records_semisorted(bucket)) << "bucket " << b;
+    std::span<const record> before(distributed.data() + start[b],
+                                   start[b + 1] - start[b]);
+    ASSERT_TRUE(testing::records_permutation(bucket, before)) << "bucket " << b;
+  }
+}
+
+TEST(LocalSort, ExactPathStdSortMixed) {
+  check_exact_local_sort(semisort_params{},
+                         {distribution_kind::exponential, 1000});
+  check_exact_local_sort(semisort_params{},
+                         {distribution_kind::uniform, 100000000});
+}
+
+TEST(LocalSort, ExactPathCountingByNaming) {
+  semisort_params params;
+  params.local_sort = semisort_params::local_sort_algo::counting_by_naming;
+  check_exact_local_sort(params, {distribution_kind::zipfian, 1000000});
 }
 
 TEST(LocalSort, StdSortVariantAllLight) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "hashing/hash64.h"
+#include "scheduler/scheduler.h"
 #include "util/rng.h"
 
 namespace parsemi {
@@ -76,6 +77,30 @@ TEST(Naming, LabelsDeterministicForSameInput) {
   auto b = name_keys(std::span<const uint64_t>(keys));
   EXPECT_EQ(a.num_distinct, b.num_distinct);
   EXPECT_EQ(a.labels, b.labels);
+}
+
+TEST(Naming, LabelsNumberKeysByFirstOccurrence) {
+  // The contract behind determinism: the label of a key is the number of
+  // distinct keys whose first occurrence precedes its own — the same at
+  // every worker count.
+  std::vector<uint64_t> keys(50000);
+  rng r(4);
+  for (auto& k : keys) k = hash64(r.next_below(3000));
+  std::unordered_map<uint64_t, uint32_t> expected;
+  std::vector<uint32_t> reference(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    auto it = expected.try_emplace(keys[i],
+                                   static_cast<uint32_t>(expected.size()));
+    reference[i] = it.first->second;
+  }
+  int original = num_workers();
+  for (int workers : {1, 2, 4}) {
+    set_num_workers(workers);
+    auto result = name_keys(std::span<const uint64_t>(keys));
+    EXPECT_EQ(result.num_distinct, expected.size()) << workers;
+    EXPECT_EQ(result.labels, reference) << workers;
+  }
+  set_num_workers(original);
 }
 
 TEST(Naming, ExpectedDistinctHintDoesNotChangeResultValidity) {

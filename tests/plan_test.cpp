@@ -355,9 +355,9 @@ constexpr env_case kEnvCases[] = {
 
 INSTANTIATE_TEST_SUITE_P(
     Vars, EnvOverride, ::testing::ValuesIn(kEnvCases),
-    [](const ::testing::TestParamInfo<env_case>& info) {
-      std::string name = std::string(info.param.var).substr(8) + "_" +
-                         (info.param.value != nullptr ? info.param.value
+    [](const ::testing::TestParamInfo<env_case>& test_info) {
+      std::string name = std::string(test_info.param.var).substr(8) + "_" +
+                         (test_info.param.value != nullptr ? test_info.param.value
                                                       : "unset");
       for (char& ch : name)
         if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';

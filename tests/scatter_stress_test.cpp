@@ -1,9 +1,11 @@
 // Interleaving stress for the scatter engine (Phase 3): random
 // configurations of size, skew, bucket sizing, placement path (CAS /
-// blocked), probing mode, worker count and schedule-fuzz seed,
-// in both slot-claiming modes (key-CAS for `record`, flag-array for a
-// record type without a leading key word). Undersized plans must report
-// overflow cleanly on every path and succeed once capacity is restored.
+// exact-offset blocked), probing mode, worker count and schedule-fuzz
+// seed, on both record shapes (`record`, whose CAS path claims slots by
+// key-CAS, and a record type without a leading key word, which takes the
+// flag-array mode). Undersized plans must report overflow cleanly on the
+// CAS path and succeed once capacity is restored; the exact path ignores
+// capacities and must succeed at every α.
 #include "core/scatter.h"
 
 #include <gtest/gtest.h>
@@ -137,9 +139,32 @@ std::pair<scatter_result, std::optional<std::string>> scatter_once(
   radix_sort_u64(std::span<uint64_t>(sample));
   auto plan = build_bucket_plan(std::span<const uint64_t>(sample), in.size(),
                                 params, alpha, ctx);
+  if (path == scatter_path::blocked) {
+    std::vector<Record> out(in.size());
+    std::span<const size_t> start =
+        scatter_blocked(std::span<const Record>(in), std::span<Record>(out),
+                        plan, get_key, ctx);
+    if (start.back() != in.size()) {
+      return {scatter_result::ok, "bucket starts do not end at n"};
+    }
+    if (!testing::is_permutation_of(std::span<const Record>(out),
+                                    std::span<const Record>(in), less)) {
+      return {scatter_result::ok,
+              "distributed records are not a permutation of the input"};
+    }
+    for (size_t b = 0; b < plan.num_buckets(); ++b) {
+      for (size_t i = start[b]; i < start[b + 1]; ++i) {
+        if (plan.bucket_of(get_key(out[i])) != b) {
+          return {scatter_result::ok,
+                  "record placed outside its bucket's range"};
+        }
+      }
+    }
+    return {scatter_result::ok, std::nullopt};
+  }
   scatter_storage<Record> storage(plan.total_slots, rng(5).next() | 1);
-  auto result = scatter_dispatch(path, std::span<const Record>(in), storage,
-                                 plan, get_key, params, rng(7), ctx);
+  auto result = scatter_records(std::span<const Record>(in), storage, plan,
+                                get_key, params, rng(7));
   if (result != scatter_result::ok) return {result, std::nullopt};
 
   std::vector<Record> found;

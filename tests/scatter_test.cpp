@@ -1,7 +1,8 @@
-// Tests for Phase 3 — the scatter engine: both placement paths (CAS with
-// linear/random probing, blocked two-pass counting), both slot claiming
-// modes (key-CAS and flag-array), sentinel clash and overflow detection on
-// every path, and the blocked path's deterministic stable placement.
+// Tests for Phase 3 — the scatter engine: the CAS ablation path (linear
+// and random probing, both slot claiming modes — key-CAS and flag-array —
+// sentinel clash and overflow detection) and the default exact-offset
+// distribution (every record at its final offset, grouped by bucket,
+// stable, capacity-free and byte-identical across worker counts).
 #include "core/scatter.h"
 
 #include <gtest/gtest.h>
@@ -33,8 +34,8 @@ struct odd_key {
 };
 
 // 12-byte record — an odd (non-power-of-two, sub-cache-line) size on the
-// flag-array variant, so the blocked path's placement handles ranges that
-// straddle cache lines unevenly.
+// flag-array variant, so placement handles ranges that straddle cache
+// lines unevenly.
 struct tiny_record {
   uint32_t lo;
   uint32_t hi;
@@ -62,9 +63,6 @@ static_assert(!scatter_storage<odd_record>::kKeyCas,
 static_assert(!scatter_storage<tiny_record>::kKeyCas,
               "tiny_record must take the flag-array path");
 
-constexpr scatter_path kAllPaths[] = {scatter_path::cas,
-                                      scatter_path::blocked};
-
 template <typename Record, typename GetKey>
 std::pair<bucket_plan, std::vector<Record>> plan_for(
     const std::vector<Record>& in, GetKey get_key,
@@ -78,15 +76,14 @@ std::pair<bucket_plan, std::vector<Record>> plan_for(
   return {std::move(plan), in};
 }
 
+// The CAS path: every record claims a slot of its bucket's range.
 template <typename Record, typename GetKey, typename Less>
 void check_scatter(const std::vector<Record>& in, GetKey get_key, Less less,
-                   semisort_params params,
-                   scatter_path path = scatter_path::cas) {
+                   semisort_params params) {
   auto [plan, input] = plan_for(in, get_key, params);
   scatter_storage<Record> storage(plan.total_slots, rng(5).next() | 1);
-  auto result =
-      scatter_dispatch(path, std::span<const Record>(input), storage, plan,
-                       get_key, params, rng(7), test_ctx());
+  auto result = scatter_records(std::span<const Record>(input), storage, plan,
+                                get_key, params, rng(7));
   ASSERT_EQ(result, scatter_result::ok);
 
   // Every record present exactly once, inside its own bucket's slot range.
@@ -96,18 +93,42 @@ void check_scatter(const std::vector<Record>& in, GetKey get_key, Less less,
   ASSERT_EQ(found.size(), input.size());
   EXPECT_TRUE(testing::is_permutation_of(std::span<const Record>(found),
                                          std::span<const Record>(input), less));
-  // Placement respects bucket boundaries; the blocked path additionally
-  // fills each bucket front-to-back (occupancy is a prefix).
   for (size_t b = 0; b < plan.num_buckets(); ++b) {
-    bool gap = false;
     for (size_t i = plan.bucket_offset[b]; i < plan.bucket_offset[b + 1]; ++i) {
       if (storage.occupied(i)) {
         ASSERT_EQ(plan.bucket_of(get_key(storage.slots[i])), b) << "slot " << i;
-        if (path == scatter_path::blocked) {
-          ASSERT_FALSE(gap) << "bucket " << b << " not prefix-filled";
-        }
-      } else {
-        gap = true;
+      }
+    }
+  }
+}
+
+// The exact-offset path: `in` distributed into a dense output of the same
+// length. Checks the bucket starts, that every record sits in its own
+// bucket's range, that the output is a permutation of the input, and that
+// each bucket keeps input order (`position` maps a record to its input
+// index).
+template <typename Record, typename GetKey, typename Position>
+void check_exact(const std::vector<Record>& in, GetKey get_key,
+                 Position position, const bucket_plan& plan) {
+  std::vector<Record> out(in.size());
+  std::span<const size_t> start =
+      scatter_blocked(std::span<const Record>(in), std::span<Record>(out),
+                      plan, get_key, test_ctx());
+  ASSERT_EQ(start.size(), plan.num_buckets() + 1);
+  ASSERT_EQ(start.front(), 0u);
+  ASSERT_EQ(start.back(), in.size());
+  std::vector<uint8_t> seen(in.size(), 0);
+  for (size_t b = 0; b < plan.num_buckets(); ++b) {
+    ASSERT_LE(start[b], start[b + 1]);
+    for (size_t i = start[b]; i < start[b + 1]; ++i) {
+      ASSERT_EQ(plan.bucket_of(get_key(out[i])), b) << "offset " << i;
+      size_t pos = position(out[i]);
+      ASSERT_LT(pos, in.size());
+      ASSERT_EQ(seen[pos], 0) << "record " << pos << " placed twice";
+      seen[pos] = 1;
+      ASSERT_TRUE(out[i] == in[pos]) << "offset " << i;
+      if (i > start[b]) {
+        ASSERT_LT(position(out[i - 1]), pos) << "bucket " << b << " unstable";
       }
     }
   }
@@ -152,22 +173,35 @@ TEST(Scatter, RandomProbingAblation) {
   check_scatter(in, record_key{}, rec_less, params);
 }
 
-TEST(Scatter, BlockedPathKeyCasRecords) {
-  auto in = generate_records(100000, {distribution_kind::zipfian, 100000}, 12);
-  check_scatter(in, record_key{}, rec_less, semisort_params{},
-                scatter_path::blocked);
+size_t record_position(const record& r) {
+  return static_cast<size_t>(r.payload);
 }
 
-TEST(Scatter, BlockedPathFlagModeOddRecords) {
+TEST(Scatter, ExactDistributionKeyCasRecords) {
+  auto in = generate_records(100000, {distribution_kind::zipfian, 100000}, 12);
+  auto [plan, input] = plan_for(in, record_key{}, semisort_params{});
+  check_exact(input, record_key{}, record_position, plan);
+}
+
+TEST(Scatter, ExactDistributionHeavyAndLightBuckets) {
+  auto in = generate_records(100000, {distribution_kind::exponential, 100}, 13);
+  auto [plan, input] = plan_for(in, record_key{}, semisort_params{});
+  ASSERT_GT(plan.num_heavy, 0u);
+  check_exact(input, record_key{}, record_position, plan);
+}
+
+TEST(Scatter, ExactDistributionOddRecords) {
   std::vector<odd_record> in(60000);
   rng r(14);
   for (size_t i = 0; i < in.size(); ++i)
     in[i] = {static_cast<uint32_t>(i), hash64(r.next_below(700))};
-  check_scatter(in, odd_key{}, odd_less, semisort_params{},
-                scatter_path::blocked);
+  auto [plan, input] = plan_for(in, odd_key{}, semisort_params{});
+  check_exact(input, odd_key{}, [](const odd_record& x) {
+    return static_cast<size_t>(x.tag);
+  }, plan);
 }
 
-TEST(Scatter, TwelveByteRecordsAllPaths) {
+TEST(Scatter, TwelveByteRecordsBothPaths) {
   // 12-byte flag-array records: placement ranges get genuinely odd sizes.
   std::vector<tiny_record> in(50000);
   rng r(15);
@@ -180,62 +214,72 @@ TEST(Scatter, TwelveByteRecordsAllPaths) {
     return tiny_key{}(a) != tiny_key{}(b) ? tiny_key{}(a) < tiny_key{}(b)
                                           : a.tag < b.tag;
   };
-  for (scatter_path path : kAllPaths)
-    check_scatter(in, tiny_key{}, less, semisort_params{}, path);
+  check_scatter(in, tiny_key{}, less, semisort_params{});
+  auto [plan, input] = plan_for(in, tiny_key{}, semisort_params{});
+  check_exact(input, tiny_key{}, [](const tiny_record& x) {
+    return static_cast<size_t>(x.tag);
+  }, plan);
 }
 
-TEST(Scatter, SentinelClashDetectedOnEveryPath) {
-  // Force a record whose key equals the sentinel: every path must report
+TEST(Scatter, SentinelClashDetectedOnCasPath) {
+  // Force a record whose key equals the sentinel: the CAS path must report
   // the clash rather than silently corrupting occupancy.
   auto in = generate_records(5000, {distribution_kind::uniform, 100}, 6);
   uint64_t sentinel = rng(5).next() | 1;
   in[1234].key = sentinel;
   semisort_params params;
   auto [plan, input] = plan_for(in, record_key{}, params);
-  for (scatter_path path : kAllPaths) {
-    scatter_storage<record> storage(plan.total_slots, sentinel);
-    auto result =
-        scatter_dispatch(path, std::span<const record>(input), storage, plan,
-                         record_key{}, params, rng(7), test_ctx());
-    EXPECT_EQ(result, scatter_result::sentinel_clash)
-        << "path " << to_string(path);
-  }
+  scatter_storage<record> storage(plan.total_slots, sentinel);
+  auto result = scatter_records(std::span<const record>(input), storage, plan,
+                                record_key{}, params, rng(7));
+  EXPECT_EQ(result, scatter_result::sentinel_clash);
 }
 
-TEST(Scatter, OverflowDetectedWhenBucketsTooSmallOnEveryPath) {
-  // Shrink every bucket to ~nothing by building the plan for a tiny
-  // pretended n, then scattering far more records into it.
+// A plan built for a tiny pretended n: every bucket's capacity is far below
+// what 100000 records need.
+bucket_plan undersized_plan(const semisort_params& params) {
   auto few = generate_records(64, {distribution_kind::uniform, 4}, 7);
-  semisort_params params;
-  params.round_to_pow2 = false;
   rng base(1);
   auto sample = sample_keys(std::span<const record>(few), record_key{},
                             params.sampling_p, base);
   radix_sort_u64(std::span<uint64_t>(sample));
-  auto plan =
-      build_bucket_plan(std::span<const uint64_t>(sample), 64, params, 0.01,
-                        test_ctx());
-  ASSERT_LT(plan.total_slots, 100000u);
-
-  auto many = generate_records(100000, {distribution_kind::uniform, 4}, 7);
-  for (scatter_path path : kAllPaths) {
-    scatter_storage<record> storage(plan.total_slots, rng(5).next() | 1);
-    auto result =
-        scatter_dispatch(path, std::span<const record>(many), storage, plan,
-                         record_key{}, params, rng(7), test_ctx());
-    EXPECT_EQ(result, scatter_result::overflow) << "path " << to_string(path);
-  }
+  return build_bucket_plan(std::span<const uint64_t>(sample), 64, params, 0.01,
+                           test_ctx());
 }
 
-TEST(Scatter, BlockedSentinelClashTriggersSemisortRestart) {
-  // End-to-end: a semisort on the default blocked path whose first
-  // attempt draws a sentinel colliding with an input key must restart with
-  // a fresh sentinel and still produce a valid semisort. Plant the colliding
-  // key by computing the sentinel the first attempt will draw.
+TEST(Scatter, OverflowDetectedWhenBucketsTooSmallOnCasPath) {
+  semisort_params params;
+  params.round_to_pow2 = false;
+  bucket_plan plan = undersized_plan(params);
+  ASSERT_LT(plan.total_slots, 100000u);
+  auto many = generate_records(100000, {distribution_kind::uniform, 4}, 7);
+  scatter_storage<record> storage(plan.total_slots, rng(5).next() | 1);
+  auto result = scatter_records(std::span<const record>(many), storage, plan,
+                                record_key{}, params, rng(7));
+  EXPECT_EQ(result, scatter_result::overflow);
+}
+
+TEST(Scatter, ExactDistributionIgnoresCapacities) {
+  // The same undersized plan cannot overflow the exact path: bucket sizes
+  // come from the counts, not from the α·f(s) estimates.
+  semisort_params params;
+  params.round_to_pow2 = false;
+  bucket_plan plan = undersized_plan(params);
+  ASSERT_LT(plan.total_slots, 100000u);
+  auto many = generate_records(100000, {distribution_kind::uniform, 4}, 7);
+  check_exact(many, record_key{}, record_position, plan);
+}
+
+TEST(Scatter, CasSentinelClashTriggersSemisortRestart) {
+  // End-to-end: a semisort on the CAS path whose first attempt draws a
+  // sentinel colliding with an input key must restart with a fresh
+  // sentinel and still produce a valid semisort. Plant the colliding key by
+  // computing the sentinel the first attempt will draw.
   size_t n = 40000;
   auto in = generate_records(n, {distribution_kind::uniform, 500}, 16);
   semisort_params params;
-  // Attempt 0 seeds its rng exactly like semisort_attempt does.
+  params.scatter_with = semisort_params::scatter_strategy::cas;
+  // Attempt 0 seeds its rng exactly like the CAS attempt does.
   rng attempt0(splitmix64(params.seed + 0x9e3779b9ULL * 0));
   in[77].key = attempt0.split(2).next() | 1;  // the attempt-0 sentinel
   semisort_stats stats;
@@ -244,6 +288,25 @@ TEST(Scatter, BlockedSentinelClashTriggersSemisortRestart) {
   semisort_hashed(std::span<const record>(in), std::span<record>(out),
                   record_key{}, params);
   EXPECT_GE(stats.restarts, 1);
+  EXPECT_EQ(stats.scatter_path_used, scatter_path::cas);
+  EXPECT_TRUE(testing::valid_semisort(std::span<const record>(out),
+                                      std::span<const record>(in)));
+}
+
+TEST(Scatter, ExactPathNeverRestartsOnSentinelLikeKeys) {
+  // The same planted key on the default path: there is no sentinel, so the
+  // call runs once.
+  size_t n = 40000;
+  auto in = generate_records(n, {distribution_kind::uniform, 500}, 16);
+  semisort_params params;
+  rng attempt0(splitmix64(params.seed + 0x9e3779b9ULL * 0));
+  in[77].key = attempt0.split(2).next() | 1;
+  semisort_stats stats;
+  params.stats = &stats;
+  std::vector<record> out(n);
+  semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                  record_key{}, params);
+  EXPECT_EQ(stats.restarts, 0);
   EXPECT_EQ(stats.scatter_path_used, scatter_path::blocked);
   EXPECT_TRUE(testing::valid_semisort(std::span<const record>(out),
                                       std::span<const record>(in)));
@@ -279,37 +342,31 @@ TEST(Scatter, DeterministicPlacementAcrossWorkerCounts) {
                                          std::span<const record>(seq), less));
 }
 
-TEST(Scatter, BlockedPlacementExactlyDeterministicAcrossWorkerCounts) {
-  // Stronger than the CAS guarantee: the blocked path's two-pass placement
-  // is stable (input order within each bucket) and byte-identical at every
-  // worker count — the full slot array must match, not just per-bucket
-  // multisets.
+TEST(Scatter, ExactPlacementIdenticalAcrossWorkerCounts) {
+  // Stronger than the CAS guarantee: the exact distribution is stable
+  // (input order within each bucket), so its output and bucket starts are
+  // byte-identical at every worker count.
   auto in = generate_records(50000, {distribution_kind::exponential, 100}, 9);
   semisort_params params;
   auto [plan, input] = plan_for(in, record_key{}, params);
 
   auto run_with = [&](int workers) {
     set_num_workers(workers);
-    scatter_storage<record> storage(plan.total_slots, 0x123457ULL);
-    auto result = scatter_dispatch(scatter_path::blocked,
-                                   std::span<const record>(input), storage,
-                                   plan, record_key{}, params, rng(7),
-                                   test_ctx());
-    EXPECT_EQ(result, scatter_result::ok);
-    std::vector<record> recs;
-    for (size_t i = 0; i < plan.total_slots; ++i)
-      recs.push_back(storage.occupied(i) ? storage.slots[i]
-                                         : record{0, 0});
-    return recs;
+    std::vector<record> out(input.size());
+    std::span<const size_t> start =
+        scatter_blocked(std::span<const record>(input), std::span<record>(out),
+                        plan, record_key{}, test_ctx());
+    return std::make_pair(out, std::vector<size_t>(start.begin(), start.end()));
   };
   int original = num_workers();
-  auto seq = run_with(1);
-  auto par = run_with(4);
+  auto [seq, seq_start] = run_with(1);
+  auto [par, par_start] = run_with(4);
   set_num_workers(original);
+  EXPECT_EQ(seq_start, par_start);
   ASSERT_EQ(seq.size(), par.size());
   for (size_t i = 0; i < seq.size(); ++i) {
-    ASSERT_EQ(seq[i].key, par[i].key) << "slot " << i;
-    ASSERT_EQ(seq[i].payload, par[i].payload) << "slot " << i;
+    ASSERT_EQ(seq[i].key, par[i].key) << "offset " << i;
+    ASSERT_EQ(seq[i].payload, par[i].payload) << "offset " << i;
   }
 }
 

@@ -157,27 +157,37 @@ TEST(Semisort, StatsAreFilled) {
   EXPECT_EQ(stats.sample_size, static_cast<size_t>(static_cast<double>(in.size()) * params.sampling_p));
   EXPECT_GT(stats.num_heavy_keys, 0u);  // λ=200 ⇒ many heavy keys
   EXPECT_GT(stats.heavy_records, in.size() / 2);
-  EXPECT_GT(stats.total_slots, in.size() / 2);
+  EXPECT_EQ(stats.heavy_slots, stats.heavy_records);
+  EXPECT_EQ(stats.total_slots, in.size());
   EXPECT_EQ(stats.restarts, 0);
   EXPECT_GT(stats.heavy_fraction(), 0.5);
-  EXPECT_LT(stats.slots_per_record(), 16.0);
+  EXPECT_EQ(stats.slots_per_record(), 1.0);
 }
 
-TEST(Semisort, TimingsCoverFivePhases) {
-  phase_timer timings;
-  semisort_params params;
-  params.timings = &timings;
+TEST(Semisort, TimingsCoverEveryPhase) {
+  // The default exact-offset path has four phases; the CAS ablation adds
+  // Phase 5, the pack.
   auto in = generate_records(200000, {distribution_kind::uniform, 200000}, 13);
   std::vector<record> out(in.size());
-  semisort_hashed(std::span<const record>(in), std::span<record>(out),
-                  record_key{}, params);
-  ASSERT_EQ(timings.phases().size(), 5u);
-  EXPECT_EQ(timings.phases()[0].first, "sample and sort");
-  EXPECT_EQ(timings.phases()[1].first, "construct buckets");
-  EXPECT_EQ(timings.phases()[2].first, "scatter");
-  EXPECT_EQ(timings.phases()[3].first, "local sort");
-  EXPECT_EQ(timings.phases()[4].first, "pack");
-  EXPECT_GT(timings.total(), 0.0);
+  for (auto path : {semisort_params::scatter_strategy::blocked,
+                    semisort_params::scatter_strategy::cas}) {
+    phase_timer timings;
+    semisort_params params;
+    params.timings = &timings;
+    params.scatter_with = path;
+    semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                    record_key{}, params);
+    bool cas = path == semisort_params::scatter_strategy::cas;
+    ASSERT_EQ(timings.phases().size(), cas ? 5u : 4u);
+    EXPECT_EQ(timings.phases()[0].first, "sample and sort");
+    EXPECT_EQ(timings.phases()[1].first, "construct buckets");
+    EXPECT_EQ(timings.phases()[2].first, "scatter");
+    EXPECT_EQ(timings.phases()[3].first, "local sort");
+    if (cas) {
+      EXPECT_EQ(timings.phases()[4].first, "pack");
+    }
+    EXPECT_GT(timings.total(), 0.0);
+  }
 }
 
 TEST(Semisort, GeneralApiGroupsStringKeys) {

@@ -353,29 +353,42 @@ bool valid_width(size_t w) {
 
 TEST(SimdStats, EngineReportsContractualWidths) {
   // Exponential(1000): heavy keys AND many small light buckets, so the
-  // scatter, network local sort, and pack kernels all engage. The output
-  // must still be a correct semisort (the kernels change schedules, never
-  // results), and every reported width must be one of {0, 64, 128, 256},
-  // bounded by the build's width.
+  // network local sort engages on both paths, and the CAS leg's scatter
+  // prescan and pack kernels too. The output must still be a correct
+  // semisort (the kernels change schedules, never results), and every
+  // reported width must be one of {0, 64, 128, 256}, bounded by the
+  // build's width.
   const size_t n = 200000;
   auto in = generate_records(n, {distribution_kind::exponential, 1000}, 17);
-  std::vector<record> out(n);
-  semisort_params params;
-  semisort_stats stats;
-  params.stats = &stats;
-  semisort_hashed(std::span<const record>(in), std::span<record>(out),
-                  record_key{}, params);
-  EXPECT_TRUE(testing::records_semisorted(std::span<const record>(out)));
-  EXPECT_TRUE(testing::records_permutation(out, in));
-  for (size_t w : {stats.simd_hash_width, stats.simd_scatter_width,
-                   stats.simd_local_sort_width, stats.simd_pack_width}) {
-    EXPECT_TRUE(valid_width(w)) << w;
-    EXPECT_LE(w, simd::kWidthBits);
+  for (auto path : {semisort_params::scatter_strategy::blocked,
+                    semisort_params::scatter_strategy::cas}) {
+    std::vector<record> out(n);
+    semisort_params params;
+    params.scatter_with = path;
+    semisort_stats stats;
+    params.stats = &stats;
+    semisort_hashed(std::span<const record>(in), std::span<record>(out),
+                    record_key{}, params);
+    EXPECT_TRUE(testing::records_semisorted(std::span<const record>(out)));
+    EXPECT_TRUE(testing::records_permutation(out, in));
+    for (size_t w : {stats.simd_hash_width, stats.simd_scatter_width,
+                     stats.simd_local_sort_width, stats.simd_pack_width}) {
+      EXPECT_TRUE(valid_width(w)) << w;
+      EXPECT_LE(w, simd::kWidthBits);
+    }
+    // The sampler always hashes, so hash must report the build's tier, not
+    // "no kernel".
+    EXPECT_EQ(stats.simd_hash_width, simd::kWidthBits);
+    if (path == semisort_params::scatter_strategy::cas) {
+      // The records are trivially copyable, so the CAS path's pack runs
+      // the widened copy kernel.
+      EXPECT_EQ(stats.simd_pack_width, simd::kWidthBits);
+    } else {
+      // The exact-offset path has no scatter prescan and no pack.
+      EXPECT_EQ(stats.simd_scatter_width, 0u);
+      EXPECT_EQ(stats.simd_pack_width, 0u);
+    }
   }
-  // The sampler always hashes and the records are trivially copyable, so
-  // hash and pack must report the build's tier, not "no kernel".
-  EXPECT_EQ(stats.simd_hash_width, simd::kWidthBits);
-  EXPECT_EQ(stats.simd_pack_width, simd::kWidthBits);
 }
 
 }  // namespace
