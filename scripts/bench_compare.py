@@ -45,8 +45,10 @@ sidecar's "bench" field:
     check becomes the per-phase perf gate: on matching (distribution, n,
     mode=par) rows, no phase may regress more than --max-phase-regress over
     the baseline, and at least --require-wins of the hot phases {scatter,
-    local sort, pack} must be strictly faster — how the SIMD build is held
-    to beating the forced-scalar build without robbing another phase.
+    local sort} must be strictly faster — how the SIMD build is held to
+    beating the forced-scalar build without robbing another phase. (The
+    default exact-offset path has no pack phase; a CAS-ablation breakdown
+    still reports one, gated only against regression.)
 
 The sidecar is parsed with the standard json module, so this doubles as a
 strict validity check on the bench JSON writer (escaping, empty metric
@@ -486,7 +488,7 @@ def check_overlap_gate(doc, baseline, min_overlap_speedup=0.10):
     return ok
 
 
-BREAKDOWN_HOT_PHASES = ("scatter", "local sort", "pack")
+BREAKDOWN_HOT_PHASES = ("scatter", "local sort")
 VALID_SIMD_WIDTHS = {0, 64, 128, 256}
 
 
@@ -506,8 +508,8 @@ def check_breakdown(doc, baseline=None, max_phase_regress=0.05,
     mode. With a baseline doc the check becomes the per-phase perf gate:
     phase times are summed over the matching par rows, no phase may be more
     than max_phase_regress slower than the baseline, and at least
-    require_wins of the hot phases (scatter / local sort / pack) must be
-    strictly faster. Phases whose baseline time is below min_phase_s are
+    require_wins of the hot phases (scatter / local sort) must be strictly
+    faster. Phases whose baseline time is below min_phase_s are
     too short to time reliably and are excluded from both counts."""
     rows = doc.get("rows", [])
     if not rows:
@@ -688,8 +690,8 @@ def main():
                     help="breakdown gate: max fractional slowdown allowed "
                          "on any phase vs the baseline (default 0.05)")
     ap.add_argument("--require-wins", type=int, default=2,
-                    help="breakdown gate: hot phases (scatter / local sort "
-                         "/ pack) that must beat the baseline (default 2)")
+                    help="breakdown gate: hot phases (scatter / local "
+                         "sort) that must beat the baseline (default 2)")
     ap.add_argument("--min-phase-s", type=float, default=0.005,
                     help="breakdown gate: baseline phases shorter than this "
                          "are too noisy to gate on (default 0.005)")

@@ -497,8 +497,8 @@ def make_breakdown_row(dist="uniform", n=10000000, mode="par", threads=None,
 def make_breakdown_doc(bench="table2_breakdown", dists=("uniform",),
                        scale=1.0, hot_scale=1.0, simd=None):
     """Both modes per distribution; hot_scale additionally multiplies the
-    hot phases (scatter / local sort / pack) so tests can build a baseline
-    the candidate beats (hot_scale > 1) or loses to (hot_scale < 1)."""
+    hot phases (scatter / local sort) so tests can build a baseline the
+    candidate beats (hot_scale > 1) or loses to (hot_scale < 1)."""
     rows = []
     for d in dists:
         for mode in ("seq", "par"):
@@ -744,6 +744,43 @@ class CheckBreakdown(unittest.TestCase):
         self.assertTrue(ok, err)
         ok, err = run_breakdown_check(cand, baseline=base)
         self.assertFalse(ok)
+
+    def test_packless_breakdown_needs_both_hot_phases_to_win(self):
+        # The default exact-offset path reports no pack phase: scatter and
+        # local sort are the only hot phases, so the default require_wins=2
+        # passes only when both win.
+        def packless(**kwargs):
+            doc = make_breakdown_doc(**kwargs)
+            for row in doc["rows"]:
+                row.pop("phase_pack_s")
+                row["total_s"] = sum(v for k, v in row.items()
+                                     if k.startswith("phase_"))
+            return doc
+
+        ok, err = run_breakdown_check(packless(),
+                                      baseline=packless(hot_scale=1.3))
+        self.assertTrue(ok, err)
+        base = packless(hot_scale=1.3)
+        for row in base["rows"]:
+            row["phase_local sort_s"] /= 1.3 * 1.02  # local sort now loses
+            row["total_s"] = sum(v for k, v in row.items()
+                                 if k.startswith("phase_"))
+        ok, err = run_breakdown_check(packless(), baseline=base)
+        self.assertFalse(ok)
+        self.assertIn("hot phases", err)
+
+    def test_pack_win_is_not_a_hot_phase_win(self):
+        # A CAS-ablation breakdown still reports pack, but only scatter and
+        # local sort count: scatter + pack winning is one win, not two.
+        base = make_breakdown_doc()
+        for row in base["rows"]:
+            row["phase_scatter_s"] *= 1.3
+            row["phase_pack_s"] *= 1.3
+            row["total_s"] = sum(v for k, v in row.items()
+                                 if k.startswith("phase_"))
+        ok, err = run_breakdown_check(make_breakdown_doc(), baseline=base)
+        self.assertFalse(ok)
+        self.assertIn("hot phases", err)
 
 
 def make_plan_obj(reused=0, probe_passes=1, probe_records=1000,

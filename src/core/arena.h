@@ -122,15 +122,6 @@ class arena {
   size_t alloc_count() const { return alloc_count_; }
   size_t heap_block_count() const { return heap_blocks_; }
 
-  // Largest single block — the biggest allocation that is guaranteed to be
-  // served contiguously without growing. (The block count is logarithmic,
-  // so the scan is cheap.)
-  size_t max_block_bytes() const {
-    size_t m = 0;
-    for (const block& b : blocks_) m = std::max(m, b.capacity);
-    return m;
-  }
-
  private:
   struct block {
     std::unique_ptr<std::byte[]> data;  // new[] ⇒ max_align_t-aligned

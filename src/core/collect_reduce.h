@@ -38,8 +38,7 @@ std::vector<std::pair<K, V>> collect_reduce(
     };
     std::span<internal::key_tag> sorted = internal::tag_semisort(
         n, [&](size_t i) { return hash(pairs[i].first); }, params, ctx);
-    internal::repair_hash_collisions(sorted, eq_at, ctx);
-    std::span<size_t> starts = internal::tag_group_starts(sorted, ctx, eq_at);
+    std::span<size_t> starts = internal::tag_groups(sorted, eq_at, ctx);
     size_t k = starts.size();
     out.resize(k);
     parallel_for(
@@ -84,8 +83,7 @@ std::vector<std::pair<K, size_t>> count_by_key(
     auto eq_at = [&](uint64_t a, uint64_t b) { return eq(keys[a], keys[b]); };
     std::span<internal::key_tag> sorted = internal::tag_semisort(
         n, [&](size_t i) { return hash(keys[i]); }, params, ctx);
-    internal::repair_hash_collisions(sorted, eq_at, ctx);
-    std::span<size_t> starts = internal::tag_group_starts(sorted, ctx, eq_at);
+    std::span<size_t> starts = internal::tag_groups(sorted, eq_at, ctx);
     size_t k = starts.size();
     out.resize(k);
     parallel_for(

@@ -69,13 +69,8 @@ class context_binding {
       alloc_snap_ = ctx_->scratch.alloc_count();
       ctx_->timings = params.timings;
       ctx_->stats = params.stats;
-      // Bind the executing pool for the whole call (worker-partitioned
-      // scratch sizes itself from this) and snapshot the thread's fallback
-      // counter / job accounting so finalize() can attribute this call's
-      // share to its stats.
-      prev_pool_ = ctx_->pool;
-      ctx_->pool =
-          params.pool != nullptr ? params.pool : &worker_pool::resolve();
+      // Snapshot the thread's fallback counter / job accounting so
+      // finalize() can attribute this call's share to its stats.
       fallback_snap_ = tl_sequential_fallbacks;
       acct_ = tl_job_acct;
     }
@@ -86,7 +81,6 @@ class context_binding {
       ctx_->scratch.rewind(base_);
       ctx_->timings = nullptr;
       ctx_->stats = nullptr;
-      ctx_->pool = prev_pool_;
     }
     ctx_->depth--;
   }
@@ -115,7 +109,6 @@ class context_binding {
  private:
   std::optional<pipeline_context> local_;
   pipeline_context* ctx_ = nullptr;
-  worker_pool* prev_pool_ = nullptr;
   job_accounting* acct_ = nullptr;
   arena::checkpoint base_;
   size_t alloc_snap_ = 0;

@@ -114,7 +114,7 @@ grouped_indices group_by_index(std::span<const Record> in, GetKey get_key = {},
     std::span<internal::key_tag> sorted = internal::tag_semisort(
         n, [&](size_t i) { return get_key(in[i]); }, params, ctx);
     std::span<size_t> starts =
-        internal::tag_group_starts(sorted, ctx, internal::tag_eq_trivial);
+        internal::tag_groups(sorted, internal::tag_eq_trivial, ctx);
     result.order.resize(n);
     parallel_for(0, n, [&](size_t i) {
       result.order[i] = static_cast<size_t>(sorted[i].index);
@@ -140,8 +140,7 @@ grouped<T> group_by(std::span<const T> in, KeyFn key_of, HashFn hash,
     };
     std::span<internal::key_tag> sorted = internal::tag_semisort(
         n, [&](size_t i) { return hash(key_of(in[i])); }, params, ctx);
-    internal::repair_hash_collisions(sorted, eq_at, ctx);
-    std::span<size_t> starts = internal::tag_group_starts(sorted, ctx, eq_at);
+    std::span<size_t> starts = internal::tag_groups(sorted, eq_at, ctx);
     result.records.resize(n);
     parallel_for(0, n,
                  [&](size_t i) { result.records[i] = in[sorted[i].index]; });

@@ -78,9 +78,7 @@ std::vector<std::pair<K, Acc>> map_reduce(std::span<const Input> inputs,
       };
       std::span<internal::key_tag> sorted = internal::tag_semisort(
           total, [&](size_t i) { return hash(pairs[i].first); }, params, ctx);
-      internal::repair_hash_collisions(sorted, eq_at, ctx);
-      std::span<size_t> starts =
-          internal::tag_group_starts(sorted, ctx, eq_at);
+      std::span<size_t> starts = internal::tag_groups(sorted, eq_at, ctx);
       size_t k = starts.size();
       out.resize(k);
       parallel_for(

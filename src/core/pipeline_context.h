@@ -14,7 +14,6 @@
 #pragma once
 
 #include "core/arena.h"
-#include "scheduler/scheduler.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -100,35 +99,6 @@ struct pipeline_context {
   // Re-entrancy depth (derived operators call semisort_hashed with the same
   // context); only the outermost frame owns high-water/alloc accounting.
   int depth = 0;
-
-  // The pool this call executes on. Bound by the outermost context_binding
-  // frame (from params.pool, else the calling thread's pool), so every
-  // phase sizes its worker-partitioned scratch for the pool that actually
-  // runs it — not for whatever pool a foreign caller happens to see.
-  worker_pool* pool = nullptr;
-
-  void record_phase(const char* name) {
-    if (timings != nullptr) timings->record(name);
-  }
-
-  worker_pool& active_pool() const {
-    return pool != nullptr ? *pool : worker_pool::resolve();
-  }
-
-  // Worker-partitioned scratch (the scatter engine's write buffers): a phase
-  // provisions num_scratch_lanes() lanes and each task writes only to
-  // scratch_lane(). Pool workers map to their id; the extra last lane covers
-  // a thread foreign to the active pool (a sequential-fallback caller), so
-  // at most one thread ever occupies it per call.
-  size_t num_scratch_lanes() const {
-    return static_cast<size_t>(active_pool().num_workers()) + 1;
-  }
-  size_t scratch_lane() const {
-    worker_pool& p = active_pool();
-    return p.contains_current_thread()
-               ? static_cast<size_t>(worker_pool::worker_id())
-               : static_cast<size_t>(p.num_workers());
-  }
 };
 
 }  // namespace parsemi

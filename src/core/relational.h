@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -27,12 +28,20 @@
 namespace parsemi {
 
 // A join result row: the payloads of one matching (left, right) pair.
+// The default constructor is a deliberate no-op, so `join_row{}` does NOT
+// zero-fill: equi_join's `resize` then leaves its output pages untouched
+// for the parallel fill to first-touch, instead of zeroing them serially.
 struct join_row {
   uint64_t key;
   uint64_t left_value;
   uint64_t right_value;
+  join_row() {}  // not `= default`: that would value-initialize to zero
+  join_row(uint64_t k, uint64_t l, uint64_t r)
+      : key(k), left_value(l), right_value(r) {}
   friend bool operator==(const join_row&, const join_row&) = default;
 };
+static_assert(std::is_trivially_copyable_v<join_row> &&
+              std::is_standard_layout_v<join_row> && sizeof(join_row) == 24);
 
 // Inner equi-join of two relations given as (key, value) records. Keys are
 // treated as pre-hashed 64-bit values (hash raw keys first, as everywhere
@@ -59,7 +68,7 @@ std::vector<join_row> equi_join(std::span<const LeftRecord> left,
         },
         params, ctx);
     std::span<size_t> starts =
-        internal::tag_group_starts(sorted, ctx, internal::tag_eq_trivial);
+        internal::tag_groups(sorted, internal::tag_eq_trivial, ctx);
 
     // Exact output sizing: per-group left-count × right-count, scanned.
     size_t num_groups = starts.size();
@@ -114,7 +123,7 @@ std::vector<std::pair<uint64_t, Acc>> group_aggregate(
     std::span<internal::key_tag> sorted = internal::tag_semisort(
         n, [&](size_t i) { return get_key(rows[i]); }, params, ctx);
     std::span<size_t> starts =
-        internal::tag_group_starts(sorted, ctx, internal::tag_eq_trivial);
+        internal::tag_groups(sorted, internal::tag_eq_trivial, ctx);
     size_t k = starts.size();
     out.resize(k);
     parallel_for(

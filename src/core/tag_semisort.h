@@ -4,20 +4,24 @@
 // equi_join, group_aggregate and the general-key `semisort` all follow the
 // same shape: tag every position with (hashed key, index), semisort the
 // 16-byte tags (key-first layout → the scatter's key-CAS fast path), then
-// read the grouping off the sorted tags — optionally repairing 64-bit hash
-// collisions and permuting records. This header is that shape, written
-// once: the tag arrays live in the operator's pipeline_context arena, the
-// inner semisort runs on the same context (so one warm context makes the
-// whole derived operator allocation-free apart from its actual output),
-// and the operator's stats cover the tags plus the inner semisort.
+// read the grouping off the sorted tags in one pass (tag_groups, which also
+// repairs 64-bit hash collisions) and permute or fold the records. This
+// header is that shape, written once: the tag arrays live in the
+// operator's pipeline_context arena, the inner semisort runs on the same
+// context (so one warm context makes the whole derived operator
+// allocation-free apart from its actual output), and the operator's stats
+// cover the tags plus the inner semisort.
 //
 // Included from core/semisort.h (which it also includes — #pragma once
 // makes either inclusion order work); user code never needs it directly.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/params.h"
@@ -89,74 +93,87 @@ std::span<key_tag> tag_semisort(size_t n, KeyAt&& key_at,
   return std::span<key_tag>(sorted, n);
 }
 
-// Repairs runs of equal hashes that mix distinct real keys (a 64-bit hash
-// collision, probability ≲ n²/2⁶⁵): each mixed run is stably regrouped in
-// place by the real equality test. `eq_at(a, b)` compares the *original
-// records* at input positions a and b. With any reasonable hash this scans
-// the run boundaries and touches nothing — but unlike a restart it also
-// terminates under an adversarially bad user hash, at O(run·distinct)
-// local cost, making the general semisort Las Vegas rather than Monte
-// Carlo.
+inline constexpr auto tag_eq_trivial = [](uint64_t, uint64_t) { return true; };
+
+// Group starts over sorted tags: where each real key's group begins.
+// `eq_at(a, b)` compares the *original records* at input positions a and b;
+// with tag_eq_trivial (pre-hashed 64-bit keys: hash equality IS key
+// equality) the hash-run starts are the answer and no record is read.
+// Otherwise one pass, balanced over positions so a heavy key cannot
+// serialize it, compares each run member with its run head: n − runs calls
+// of eq_at, one record read per tag. A run mixing distinct keys (a 64-bit
+// collision, probability ≲ n²/2⁶⁵) is stably regrouped in place into
+// equality classes, first-seen order, and the starts expand to the class
+// boundaries — Las Vegas, terminating even under an adversarial user hash
+// at O(run·distinct) local cost. Arena-backed, no trailing n sentinel.
 template <typename EqAt>
-void repair_hash_collisions(std::span<key_tag> sorted, EqAt&& eq_at,
-                            pipeline_context& ctx) {
+std::span<size_t> tag_groups(std::span<key_tag> sorted, EqAt&& eq_at,
+                             pipeline_context& ctx) {
   size_t n = sorted.size();
-  if (n < 2) return;
-  arena_scope scope(ctx.scratch);
-  std::span<size_t> run_start = pack_index_arena(
+  std::span<size_t> runs = pack_index_arena(
       n,
       [&](size_t i) { return i == 0 || sorted[i].key != sorted[i - 1].key; },
       ctx.scratch);
-  size_t runs = run_start.size();
-  parallel_for(
-      0, runs,
-      [&](size_t r) {
-        size_t lo = run_start[r], hi = r + 1 < runs ? run_start[r + 1] : n;
-        if (hi - lo < 2) return;
-        bool mixed = false;
-        for (size_t i = lo + 1; i < hi && !mixed; ++i)
-          mixed = !eq_at(sorted[i].index, sorted[lo].index);
-        if (!mixed) return;
-        // Distinct keys collided in the hash. Cold path (never taken with
-        // an honest 64-bit hash), so plain heap vectors are fine here:
-        // bucket the run's tags into equality classes, first-seen order.
-        std::vector<std::vector<key_tag>> classes;
-        for (size_t i = lo; i < hi; ++i) {
-          bool placed = false;
-          for (auto& cls : classes) {
-            if (eq_at(sorted[i].index, cls.front().index)) {
-              cls.push_back(sorted[i]);
-              placed = true;
-              break;
+  if constexpr (std::is_same_v<std::remove_cvref_t<EqAt>,
+                               std::remove_cvref_t<decltype(tag_eq_trivial)>>) {
+    return runs;
+  } else {
+    size_t r = runs.size();
+    auto run_end = [&](size_t g) { return g + 1 < r ? runs[g + 1] : n; };
+    std::atomic<bool> split{false};
+    parallel_for_blocks(
+        n, scan_block_size(n), [&](size_t, size_t lo, size_t hi) {
+          size_t g = static_cast<size_t>(
+              std::upper_bound(runs.begin(), runs.end(), lo) - runs.begin() -
+              1);
+          uint64_t head = sorted[runs[g]].index;
+          size_t next = run_end(g);
+          bool mixed = false;
+          for (size_t i = runs[g] == lo ? lo + 1 : lo; i < hi; ++i) {
+            if (i == next) {
+              head = sorted[i].index;
+              next = run_end(++g);
+            } else {
+              mixed |= !eq_at(sorted[i].index, head);
             }
           }
-          if (!placed) classes.push_back({sorted[i]});
-        }
-        size_t w = lo;
-        for (auto& cls : classes)
-          for (auto& t : cls) sorted[w++] = t;
-      },
-      1);
-}
+          if (mixed) split.store(true, std::memory_order_relaxed);
+        });
+    if (!split.load(std::memory_order_relaxed)) return runs;
 
-// Group-start positions over sorted (and, if needed, repaired) tags:
-// position i opens a group iff its hash differs from its predecessor's or
-// the real keys differ (`eq_at` as above; pass tag_eq_trivial when hash
-// equality IS key equality, i.e. pre-hashed 64-bit keys). Arena-backed, no
-// trailing n sentinel — callers append that to their own output vectors.
-template <typename EqAt>
-std::span<size_t> tag_group_starts(std::span<const key_tag> sorted,
-                                   pipeline_context& ctx, EqAt&& eq_at) {
-  return pack_index_arena(
-      sorted.size(),
-      [&](size_t i) {
-        return i == 0 || sorted[i].key != sorted[i - 1].key ||
-               !eq_at(sorted[i].index, sorted[i - 1].index);
-      },
-      ctx.scratch);
+    // Cold path: stably regroup each run into equality classes, first-seen
+    // order, counting the classes; then scan the counts and expand.
+    std::span<size_t> first(ctx.scratch.alloc<size_t>(r), r);
+    parallel_for(
+        0, r,
+        [&](size_t g) {
+          auto end = sorted.begin() + run_end(g);
+          size_t classes = 0;
+          for (auto it = sorted.begin() + runs[g]; it != end; ++classes) {
+            uint64_t head = it->index;
+            it = std::stable_partition(it + 1, end, [&](const key_tag& t) {
+              return eq_at(t.index, head);
+            });
+          }
+          first[g] = classes;
+        },
+        1);
+    size_t k = scan_exclusive_inplace(first, size_t{0});
+    std::span<size_t> starts(ctx.scratch.alloc<size_t>(k), k);
+    parallel_for(
+        0, r,
+        [&](size_t g) {
+          size_t head = runs[g], w = first[g];
+          starts[w] = head;
+          if ((g + 1 < r ? first[g + 1] : k) - w == 1) return;
+          for (size_t i = head + 1; i < run_end(g); ++i)
+            if (!eq_at(sorted[i].index, sorted[head].index))
+              starts[++w] = head = i;
+        },
+        1);
+    return starts;
+  }
 }
-
-inline constexpr auto tag_eq_trivial = [](uint64_t, uint64_t) { return true; };
 
 }  // namespace internal
 
@@ -177,7 +194,7 @@ std::vector<T> semisort(std::span<const T> in, KeyFn key_of, HashFn hash,
   internal::operator_frame_keep_stats(params, [&](pipeline_context& ctx) {
     std::span<internal::key_tag> sorted = internal::tag_semisort(
         n, [&](size_t i) { return hash(key_of(in[i])); }, params, ctx);
-    internal::repair_hash_collisions(
+    internal::tag_groups(
         sorted,
         [&](uint64_t a, uint64_t b) {
           return eq(key_of(in[a]), key_of(in[b]));

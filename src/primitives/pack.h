@@ -73,6 +73,9 @@ std::vector<T> pack(std::span<const T> a, Pred&& pred) {
 
 // Packs the *indices* i in [0, n) with pred(i) true, in increasing order.
 // (The "where did each group start" primitive used all over the semisort.)
+// Like pack, this and pack_index_arena evaluate pred twice per element —
+// once to count, once to write — so pred should read data already in
+// cache (adjacent keys, flags), not gather records from a large input.
 template <typename Index = size_t, typename Pred>
 std::vector<Index> pack_index(size_t n, Pred&& pred) {
   size_t block = internal::scan_block_size(n);

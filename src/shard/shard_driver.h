@@ -146,8 +146,6 @@ void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
     // the dispatch fast path's counting_place_stable shape, inlined here
     // because the driver also needs the per-shard totals for the ranges).
     pipeline_context drv_ctx;
-    drv_ctx.pool = params.pool != nullptr ? params.pool
-                                          : &worker_pool::resolve();
     std::vector<size_t> shard_begin(S + 1, 0);
     {
       arena_scope scope(drv_ctx.scratch);

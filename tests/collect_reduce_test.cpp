@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -85,6 +86,75 @@ TEST(CountByKey, MatchesMapCounts) {
                           [](uint64_t k) { return hash64(k); });
   ASSERT_EQ(got.size(), expected.size());
   for (auto& [k, c] : got) ASSERT_EQ(c, expected.at(k));
+}
+
+// Deliberately colliding hashes: 100 distinct keys onto 8 hash values, and
+// every key onto one. Each mixed run must be split by real key equality and
+// the group starts expanded to the class boundaries.
+using u64_hash = uint64_t (*)(uint64_t);
+constexpr u64_hash kCollidingHashes[] = {
+    [](uint64_t k) { return k % 8; }, [](uint64_t) { return uint64_t{42}; }};
+
+TEST(CollectReduce, CollidingHashesGiveExactPerKeySums) {
+  std::vector<std::pair<uint64_t, uint64_t>> pairs;
+  std::map<uint64_t, uint64_t> expected;
+  rng r(5);
+  for (int i = 0; i < 20000; ++i) {
+    uint64_t k = r.next_below(100), v = r.next_below(1000);
+    pairs.emplace_back(k, v);
+    expected[k] += v;
+  }
+  for (u64_hash hash : kCollidingHashes) {
+    auto got = collect_reduce(
+        std::span<const std::pair<uint64_t, uint64_t>>(pairs), hash,
+        [](uint64_t a, uint64_t b) { return a + b; }, uint64_t{0});
+    EXPECT_EQ(got.size(), expected.size()) << "hash(1) = " << hash(1);
+    EXPECT_EQ((std::map<uint64_t, uint64_t>(got.begin(), got.end())), expected)
+        << "hash(1) = " << hash(1);
+  }
+}
+
+TEST(CountByKey, CollidingHashesOnStringKeys) {
+  // String keys take the general (tag spine) path, never the histogram.
+  using string_hash = uint64_t (*)(const std::string&);
+  const string_hash hashes[] = {
+      [](const std::string& s) { return hash_string(s) % 8; },
+      [](const std::string&) { return uint64_t{42}; }};
+  std::vector<std::string> keys;
+  std::map<std::string, size_t> expected;
+  rng r(6);
+  for (int i = 0; i < 20000; ++i) {
+    keys.push_back("w" + std::to_string(r.next_below(100)));
+    expected[keys.back()]++;
+  }
+  for (string_hash hash : hashes) {
+    auto got = count_by_key(std::span<const std::string>(keys), hash);
+    EXPECT_EQ(got.size(), expected.size());
+    EXPECT_EQ((std::map<std::string, size_t>(got.begin(), got.end())),
+              expected);
+  }
+}
+
+TEST(CollectReduce, GroupingComparesEachRecordOnlyWithItsGroupHead) {
+  // With an honest hash, grouping reads each record once: one Eq call per
+  // record that does not open its group, n − groups in all. (A separate
+  // repair pass plus a two-pass pack of the starts would make ~3n.)
+  std::vector<std::pair<uint64_t, uint64_t>> pairs;
+  rng r(7);
+  for (int i = 0; i < 100000; ++i)
+    pairs.emplace_back(r.next_below(500), r.next_below(10));
+  std::atomic<size_t> calls{0};
+  auto got = collect_reduce(
+      std::span<const std::pair<uint64_t, uint64_t>>(pairs),
+      [](uint64_t k) { return hash64(k); },
+      [](uint64_t a, uint64_t b) { return a + b; }, uint64_t{0},
+      [&calls](uint64_t a, uint64_t b) {
+        calls.fetch_add(1, std::memory_order_relaxed);
+        return a == b;
+      });
+  ASSERT_EQ(got.size(), 500u);
+  EXPECT_LE(calls.load(std::memory_order_relaxed),
+            pairs.size() - got.size());
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The determinism contract (DESIGN.md "Determinism"): with default params,
 // semisort_hashed, semisort_hashed_inplace (which stages its input through
 // the arena) and the derived operators on the tag spine — the general-key
-// semisort, group_by, group_by_hashed and collect_reduce — produce
+// semisort, group_by, group_by_hashed, collect_reduce, the general-path
+// count_by_key, map_reduce, equi_join and group_aggregate — produce
 // byte-identical output at every worker count. Every default route —
 // counting, offsets, exact-offset distribution — places records stably, so
 // the only thing the worker count may change is the wall clock. Each cell
@@ -10,16 +11,20 @@
 // Only the pinned CAS ablation is exempt: it guarantees the grouping alone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <utility>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/collect_reduce.h"
 #include "core/group_by.h"
+#include "core/mapreduce.h"
+#include "core/relational.h"
 #include "core/semisort.h"
 #include "hashing/hash64.h"
 #include "scheduler/scheduler.h"
@@ -163,6 +168,54 @@ TEST(Determinism, DerivedOperatorsAreByteIdenticalAcrossWorkerCounts) {
                 std::span<const std::pair<uint64_t, uint64_t>>(pairs), hash,
                 [](uint64_t a, uint64_t b) { return a + b; }, uint64_t{0},
                 std::equal_to<>{}, params);
+          });
+
+      // count_by_key over string keys takes the general path (tags plus
+      // the real-key comparison), never the dense-integer histogram. The
+      // views point into one stable array, so equal bytes mean the same
+      // representative at the same position.
+      std::vector<std::string> words(n);
+      std::vector<std::string_view> word_views(n);
+      for (size_t i = 0; i < n; ++i) {
+        words[i] = "w" + std::to_string(in[i].key % 5000);
+        word_views[i] = words[i];
+      }
+      expect_operator_invariant<std::pair<std::string_view, size_t>>(
+          cell + " count_by_key", [&](const semisort_params& params) {
+            return count_by_key(
+                std::span<const std::string_view>(word_views),
+                [](std::string_view w) { return hash_string(w); },
+                std::equal_to<>{}, params);
+          });
+      expect_operator_invariant<std::pair<uint64_t, uint64_t>>(
+          cell + " map_reduce", [&](const semisort_params& params) {
+            return map_reduce<record, uint64_t, uint64_t, uint64_t>(
+                view,
+                [](const record& r, auto emit) {
+                  emit(r.key, r.payload);
+                  emit(r.key ^ 1, uint64_t{1});
+                },
+                hash, [](uint64_t acc, const uint64_t& v) { return acc + v; },
+                uint64_t{0}, std::equal_to<>{}, params);
+          });
+
+      // The join takes at most 20,000 rows, so the 1000-key cells' cross
+      // products stay small.
+      auto value_of = [](const record& r) { return r.payload; };
+      size_t m = std::min<size_t>(n, 20'000);
+      std::span<const record> left = view.first(m / 2);
+      std::span<const record> right = view.subspan(m / 2, m - m / 2);
+      expect_operator_invariant<join_row>(
+          cell + " equi_join", [&](const semisort_params& params) {
+            return equi_join(left, right, record_key{}, value_of,
+                             record_key{}, value_of, params);
+          });
+      expect_operator_invariant<std::pair<uint64_t, uint64_t>>(
+          cell + " group_aggregate", [&](const semisort_params& params) {
+            return group_aggregate(
+                view, record_key{}, value_of, uint64_t{0},
+                [](uint64_t acc, uint64_t v) { return acc * 31 + v; },
+                params);
           });
     }
   }

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -152,6 +154,63 @@ TEST(GroupBy, GroupSpansAreContiguousViews) {
     covered += g.group(grp).size();
   }
   EXPECT_EQ(covered, in.size());
+}
+
+// Exact per-key check of a general-key grouping: every group holds one key,
+// no key opens two groups, and the group sizes are the key counts.
+void expect_exact_groups(const grouped<std::string>& g,
+                         const std::map<std::string, size_t>& expected) {
+  std::map<std::string, size_t> got;
+  for (size_t grp = 0; grp < g.num_groups(); ++grp) {
+    auto span = g.group(grp);
+    for (const auto& s : span) ASSERT_EQ(s, span.front());
+    ASSERT_TRUE(got.emplace(span.front(), span.size()).second)
+        << "key " << span.front() << " opens two groups";
+  }
+  EXPECT_EQ(got, expected);
+}
+
+TEST(GroupBy, CollidingHashesRegroupByRealKey) {
+  // 100 distinct keys onto 8 hash values, then all onto one: each mixed
+  // hash run is split by real key equality.
+  using string_hash = uint64_t (*)(const std::string&);
+  const string_hash hashes[] = {
+      [](const std::string& s) { return hash_string(s) % 8; },
+      [](const std::string&) { return uint64_t{42}; }};
+  std::vector<std::string> names;
+  std::map<std::string, size_t> expected;
+  for (int i = 0; i < 20000; ++i) {
+    names.push_back("user" + std::to_string((i * 37) % 100));
+    expected[names.back()]++;
+  }
+  auto key_of = [](const std::string& s) -> const std::string& { return s; };
+  for (string_hash hash : hashes) {
+    auto g = group_by(std::span<const std::string>(names), key_of, hash);
+    ASSERT_EQ(g.num_groups(), expected.size());
+    expect_exact_groups(g, expected);
+  }
+}
+
+TEST(GroupBy, GroupingComparesEachRecordOnlyWithItsGroupHead) {
+  // The one-read contract: with an honest hash, at most n − groups Eq calls.
+  std::vector<std::string> names;
+  std::map<std::string, size_t> expected;
+  for (int i = 0; i < 50000; ++i) {
+    names.push_back("user" + std::to_string((i * 7919) % 300));
+    expected[names.back()]++;
+  }
+  std::atomic<size_t> calls{0};
+  auto g = group_by(
+      std::span<const std::string>(names),
+      [](const std::string& s) -> const std::string& { return s; },
+      [](const std::string& s) { return hash_string(s); },
+      [&calls](const std::string& a, const std::string& b) {
+        calls.fetch_add(1, std::memory_order_relaxed);
+        return a == b;
+      });
+  expect_exact_groups(g, expected);
+  EXPECT_LE(calls.load(std::memory_order_relaxed),
+            names.size() - g.num_groups());
 }
 
 }  // namespace

@@ -108,5 +108,33 @@ TEST(MapReduce, StringKeysAndNonCommutativeFold) {
   EXPECT_EQ(total, inputs.size());
 }
 
+TEST(MapReduce, CollidingHashesGiveExactPerKeyResults) {
+  // 100 distinct keys onto 8 hash values, then all onto one: the shuffle
+  // must still reduce each real key exactly once.
+  using u64_hash = uint64_t (*)(uint64_t);
+  const u64_hash hashes[] = {[](uint64_t k) { return k % 8; },
+                             [](uint64_t) { return uint64_t{42}; }};
+  std::vector<uint64_t> items(15000);
+  std::map<uint64_t, uint64_t> expected;
+  for (uint64_t i = 0; i < items.size(); ++i) {
+    items[i] = i;
+    expected[i % 100] += i;
+    expected[(i * 31) % 100] += 1;
+  }
+  for (u64_hash hash : hashes) {
+    auto out = map_reduce<uint64_t, uint64_t, uint64_t, uint64_t>(
+        std::span<const uint64_t>(items),
+        [](uint64_t item, auto emit) {
+          emit(item % 100, item);
+          emit((item * 31) % 100, uint64_t{1});
+        },
+        hash, [](uint64_t acc, const uint64_t& v) { return acc + v; },
+        uint64_t{0});
+    EXPECT_EQ(out.size(), expected.size());
+    EXPECT_EQ((std::map<uint64_t, uint64_t>(out.begin(), out.end())),
+              expected);
+  }
+}
+
 }  // namespace
 }  // namespace parsemi

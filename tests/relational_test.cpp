@@ -66,6 +66,7 @@ TEST(EquiJoin, DisjointKeysEmptyResult) {
                        std::span<const record>(right), key_of, value_of,
                        key_of, value_of);
   EXPECT_TRUE(got.empty());
+  EXPECT_TRUE(same_multiset(got, reference_join(left, right)));
 }
 
 TEST(EquiJoin, EmptySides) {
@@ -79,6 +80,19 @@ TEST(EquiJoin, EmptySides) {
                         std::span<const record>(empty), key_of, value_of,
                         key_of, value_of)
                   .empty());
+}
+
+TEST(EquiJoin, SingleKeyCrossProductSpansManyPages) {
+  // 2000 × 2000 rows of one key: 96 MB of output, every page of it written
+  // only by the parallel fill (join_row's default constructor is a no-op).
+  std::vector<record> left(2000), right(2000);
+  for (size_t i = 0; i < left.size(); ++i) left[i] = {hash64(3), i};
+  for (size_t i = 0; i < right.size(); ++i) right[i] = {hash64(3), 1000000 + i};
+  auto got = equi_join(std::span<const record>(left),
+                       std::span<const record>(right), key_of, value_of,
+                       key_of, value_of);
+  ASSERT_EQ(got.size(), 2000u * 2000u);
+  EXPECT_TRUE(same_multiset(got, reference_join(left, right)));
 }
 
 TEST(EquiJoin, SkewedManyToMany) {
