@@ -1,5 +1,6 @@
-// Front-end dispatch ablation: every dispatch strategy (general pipeline,
-// stable counting/radix — plus the adaptive selector) on the paper's
+// Front-end dispatch ablation: both dispatch strategies (the pinned general
+// pipeline and the adaptive selector, which takes the stable counting/radix
+// path when the key domain is dense) on the paper's
 // Table 1 distributions, in both key forms: pre-hashed (the paper's inputs
 // — the domain probe must reject and fall back) and raw underlying keys
 // (small dense integer domains — the counting path's home turf). Each run emits an order-insensitive output checksum so
@@ -51,8 +52,7 @@ int main(int argc, char** argv) {
   std::string key_filter = args.get_string("keys", "");
   bool scale = !args.has("noscale");
 
-  print_context("Ablation: front-end dispatch (general / counting / adaptive)",
-                n);
+  print_context("Ablation: front-end dispatch (general / adaptive)", n);
 
   struct path_case {
     semisort_params::dispatch_strategy strategy;
@@ -60,7 +60,6 @@ int main(int argc, char** argv) {
   };
   constexpr path_case kPaths[] = {
       {semisort_params::dispatch_strategy::general, "general"},
-      {semisort_params::dispatch_strategy::counting, "counting"},
       {semisort_params::dispatch_strategy::adaptive, "adaptive"},
   };
   constexpr const char* kKeyForms[] = {"hashed", "raw"};
@@ -137,9 +136,10 @@ int main(int argc, char** argv) {
   std::printf(
       "expected shape: checksum and key_runs identical down each\n"
       "(distribution, keys) column (the paths are interchangeable). On\n"
-      "hashed keys every strategy falls back to the general pipeline (the\n"
+      "hashed keys adaptive falls back to the general pipeline (the\n"
       "probe rejects 64-bit hash values). On raw keys with small dense\n"
-      "domains the counting path skips sampling/bucketing entirely and\n"
-      "should beat general; wide or sparse raw domains fall back.\n");
+      "domains adaptive takes the counting path, which skips\n"
+      "sampling/bucketing entirely and should beat general; wide or sparse\n"
+      "raw domains fall back.\n");
   return 0;
 }

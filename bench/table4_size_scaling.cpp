@@ -20,8 +20,8 @@
 // configuration). Under a budget this is the spill configuration — the
 // partition round-trips through an mmap-backed spill run — which is what
 // the overlapped-I/O comparison measures: run once with
-// PARSEMI_SHARD_OVERLAP=off as baseline and once =on as candidate, then
-// gate with scripts/bench_compare.py --overlap-baseline.
+// PARSEMI_SHARD_OVERLAP=off as baseline and once with the default as
+// candidate, then gate with scripts/bench_compare.py --overlap-baseline.
 #include "common.h"
 
 #include "shard/spill_file.h"

@@ -16,8 +16,8 @@ sidecar's "bench" field:
     sequential fallback was counted — concurrency changed nothing but the
     wall clock.
 
-  ablation_dispatch: per (distribution, key form), every dispatch strategy
-    produced the SAME output as the forced-general baseline, pre-hashed
+  ablation_dispatch: per (distribution, key form), the adaptive strategy
+    produced the SAME output as the pinned-general baseline, pre-hashed
     keys never took a fast path (the domain probe must reject 64-bit hash
     values), and at least one raw-key run actually exercised the counting
     path — the ablation is vacuous if the probe never accepts.
@@ -29,7 +29,7 @@ sidecar's "bench" field:
     least one budgeted row with shards > 1 — the gate the 10^9-record
     reproduction point runs under. With --overlap-baseline OTHER.json the
     check also becomes the spill-overlap perf gate: the candidate (run with
-    PARSEMI_SHARD_OVERLAP=on) must be at least --min-overlap-speedup faster
+    the default overlap strategy) must be at least --min-overlap-speedup faster
     than the serialized baseline (=off) summed over matching sharded rows,
     and its sharded rows must report the overlap in plan{}.
 
@@ -73,7 +73,7 @@ import tempfile
 EXPECTED_PATHS = {"cas", "blocked"}
 VALID_USED = {"cas", "blocked"}
 
-EXPECTED_DISPATCH = {"general", "counting", "adaptive"}
+EXPECTED_DISPATCH = {"general", "adaptive"}
 VALID_DISPATCH_USED = {"general", "counting", "offsets"}
 
 
@@ -198,9 +198,9 @@ def check_throughput(doc):
 
 
 def check_dispatch(doc):
-    """The dispatch-ablation invariants: per (distribution, keys) group all
-    three requested strategies ran, every row's checksum/key_runs match the
-    forced-general baseline, hashed-key rows never report a fast path
+    """The dispatch-ablation invariants: per (distribution, keys) group both
+    requested strategies ran, every row's checksum/key_runs match the
+    pinned-general baseline, hashed-key rows never report a fast path
     (except the degenerate single-key input, where one distinct hash value
     IS a dense domain of width 1), and at least one raw-key row reports the
     counting path."""
@@ -428,7 +428,7 @@ def check_plan(doc):
 
 def check_overlap_gate(doc, baseline, min_overlap_speedup=0.10):
     """The spill-overlap perf gate over two table4_size_scaling sidecars:
-    `doc` ran with overlapped spill I/O (PARSEMI_SHARD_OVERLAP=on), the
+    `doc` ran with overlapped spill I/O (the default overlap strategy), the
     baseline serialized (=off). Summed over matching sharded
     (distribution, n, memory_budget) rows, the overlapped run must be at
     least min_overlap_speedup faster, and its sharded rows must record the

@@ -212,7 +212,7 @@ def make_dispatch_row(dist="uniform", keys="raw", requested="general",
             used = "general"
         elif requested == "general":
             used = "general"
-        else:  # counting / adaptive on raw dense keys
+        else:  # adaptive on raw dense keys
             used = "counting"
     return {
         "distribution": dist,
@@ -275,10 +275,10 @@ class CheckDispatch(unittest.TestCase):
     def test_missing_strategy_fails(self):
         doc = make_dispatch_doc(dists=("uniform",), key_forms=("raw",))
         doc["rows"] = [r for r in doc["rows"]
-                       if r["path_requested"] != "counting"]
+                       if r["path_requested"] != "adaptive"]
         ok, err = run_check(doc)
         self.assertFalse(ok)
-        self.assertIn("counting", err)
+        self.assertIn("adaptive", err)
         self.assertIn("never ran", err)
 
     def test_hashed_keys_taking_a_fast_path_fails(self):
@@ -298,7 +298,7 @@ class CheckDispatch(unittest.TestCase):
         for row in doc["rows"]:
             row["key_runs"] = 1
             if row["keys"] == "hashed" and \
-                    row["path_requested"] in ("counting", "adaptive"):
+                    row["path_requested"] == "adaptive":
                 row["dispatch_path"] = "counting"
         ok, err = run_check(doc)
         self.assertTrue(ok, err)

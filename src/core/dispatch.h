@@ -3,11 +3,12 @@
 // call to a specialized integer fast path when one applies:
 //
 //   * counting — a direct stable counting/radix placement for small dense
-//     integer key domains (probe in core/key_domain.h): one blocked
-//     counting pass for domain widths ≤ 2^16, two 16-bit-digit LSB radix
-//     passes up to 2^32 (Dong et al. 2024's playbook). No sampling, no
-//     hashing, no Las-Vegas retry — and the output is fully sorted,
-//     stable, and byte-identical at every worker count.
+//     integer key domains (probe in core/key_domain.h): one
+//     counting_distribute pass (primitives/counting_sort.h) for domain
+//     widths ≤ 2^16, two 16-bit-digit LSB radix passes up to 2^32 (Dong et
+//     al. 2024's playbook). No sampling, no hashing, no Las-Vegas retry —
+//     and the output is fully sorted, stable, and byte-identical at every
+//     worker count.
 //   * offsets — offset-only result shapes that never move a record
 //     (count_by_key's histogram path below; group_by_index's index-only
 //     counting sort).
@@ -16,9 +17,8 @@
 // the PARSEMI_DISPATCH_PATH environment variable beats
 // semisort_params::dispatch_with beats the adaptive default, and the path
 // actually taken is recorded in semisort_stats::dispatch_path_used. A
-// forced counting request whose key domain turns out ineligible
-// falls back to the general pipeline — recorded as general with
-// key_domain_width == 0, never a wrong answer.
+// key domain that turns out ineligible routes to the general pipeline —
+// recorded as general with key_domain_width == 0.
 //
 // Since the plan/execute split (ISSUE 10) the probe and the decision for
 // semisort calls live in the planner (core/planner.h); this header
@@ -43,6 +43,7 @@
 #include "core/key_domain.h"
 #include "core/params.h"
 #include "core/pipeline_context.h"
+#include "primitives/counting_sort.h"
 #include "primitives/histogram.h"
 #include "primitives/pack.h"
 #include "primitives/scan.h"
@@ -53,53 +54,17 @@ namespace parsemi {
 namespace internal {
 
 // PARSEMI_DISPATCH_PATH values — same contract as PARSEMI_SCATTER_PATH:
-// "general" / "counting" force that strategy; "adaptive" and unknown
-// values fall through to the params knob.
+// "general" forces the general pipeline; any other value falls through to
+// the params knob.
 inline constexpr env_choice<semisort_params::dispatch_strategy>
     kDispatchPathEnv[] = {
         {"general", semisort_params::dispatch_strategy::general},
-        {"counting", semisort_params::dispatch_strategy::counting},
 };
 
 inline semisort_params::dispatch_strategy resolve_dispatch_strategy(
     const semisort_params& params) {
   return env_override("PARSEMI_DISPATCH_PATH", kDispatchPathEnv,
                       params.dispatch_with);
-}
-
-// Stable blocked counting placement over `width` buckets: per-block
-// histogram (primitives/histogram.h), bucket base offsets from a scan of
-// the column totals, per-column strided scans turning the count matrix
-// into absolute per-block cursors, then a placement pass where block b
-// owns row b of the matrix as its private cursors. Zero atomics, and the
-// block-major claim order makes the result stable — and byte-identical at
-// every worker count. place(i, pos) receives the source index and its
-// destination slot; bucket_at(i) must be < width.
-template <typename BucketAt, typename PlaceFn>
-void counting_place_stable(size_t n, size_t width, BucketAt&& bucket_at,
-                           PlaceFn&& place, pipeline_context& ctx) {
-  arena_scope scope(ctx.scratch);
-  size_t block = histogram_block_size(n, width);
-  size_t num_blocks = histogram_num_blocks(n, block);
-  size_t* counts = ctx.scratch.alloc<size_t>(num_blocks * width);
-  histogram_blocks(n, block, width, counts, bucket_at);
-  std::span<size_t> totals(ctx.scratch.alloc<size_t>(width), width);
-  parallel_for(0, width, [&](size_t k) {
-    size_t sum = 0;
-    for (size_t b = 0; b < num_blocks; ++b) sum += counts[b * width + k];
-    totals[k] = sum;
-  });
-  size_t scan_blocks = scan_num_blocks(width);
-  std::span<size_t> scan_scratch(ctx.scratch.alloc<size_t>(scan_blocks),
-                                 scan_blocks);
-  scan_exclusive_inplace(totals, size_t{0}, scan_scratch);
-  parallel_for(0, width, [&](size_t k) {
-    scan_exclusive_strided(counts + k, num_blocks, width, totals[k]);
-  });
-  parallel_for_blocks(n, block, [&](size_t b, size_t lo, size_t hi) {
-    size_t* cursor = counts + b * width;
-    for (size_t i = lo; i < hi; ++i) place(i, cursor[bucket_at(i)]++);
-  });
 }
 
 // Stable counting semisort over an accepted dense domain. One blocked pass
@@ -125,10 +90,10 @@ void counting_semisort(std::span<const Record> in, std::span<Record> out,
     passes = 1;
     std::span<Record> dst = out;
     if (aliased) dst = std::span<Record>(ctx.scratch.alloc<Record>(n), n);
-    counting_place_stable(
+    counting_distribute(
         n, static_cast<size_t>(dom.width),
         [&](size_t i) { return static_cast<size_t>(get_key(in[i]) - min); },
-        [&](size_t i, size_t pos) { dst[pos] = in[i]; }, ctx);
+        [&](size_t i, size_t pos) { dst[pos] = in[i]; }, ctx.scratch);
     if (pt != nullptr) pt->record("dispatch count place");
     if (aliased) {
       parallel_for_blocks(n, scan_block_size(n),
@@ -141,19 +106,19 @@ void counting_semisort(std::span<const Record> in, std::span<Record> out,
     passes = 2;
     std::span<Record> tmp(ctx.scratch.alloc<Record>(n), n);
     size_t high_width = static_cast<size_t>(((dom.width - 1) >> 16) + 1);
-    counting_place_stable(
+    counting_distribute(
         n, static_cast<size_t>(kCountingOnePassMaxWidth),
         [&](size_t i) {
           return static_cast<size_t>((get_key(in[i]) - min) & 0xffff);
         },
-        [&](size_t i, size_t pos) { tmp[pos] = in[i]; }, ctx);
+        [&](size_t i, size_t pos) { tmp[pos] = in[i]; }, ctx.scratch);
     if (pt != nullptr) pt->record("dispatch radix pass 1");
-    counting_place_stable(
+    counting_distribute(
         n, high_width,
         [&](size_t i) {
           return static_cast<size_t>((get_key(tmp[i]) - min) >> 16);
         },
-        [&](size_t i, size_t pos) { out[pos] = tmp[i]; }, ctx);
+        [&](size_t i, size_t pos) { out[pos] = tmp[i]; }, ctx.scratch);
     if (pt != nullptr) pt->record("dispatch radix pass 2");
   }
   if (params.stats != nullptr) {
@@ -199,11 +164,7 @@ bool try_dispatch_count_by_key(std::span<const K> keys, Result& out,
       return static_cast<size_t>(to_ordered_u64(keys[i]) - dom.min);
     };
     histogram_blocks(n, block, width, counts, bucket_at);
-    parallel_for(0, width, [&](size_t k) {
-      size_t sum = 0;
-      for (size_t b = 0; b < num_blocks; ++b) sum += counts[b * width + k];
-      totals[k] = sum;
-    });
+    histogram_totals(counts, num_blocks, width, totals.data());
   } else {
     // Wide domains: the blocked matrix would dwarf n, so accumulate with
     // relaxed atomics instead — the fork-join barrier orders every
@@ -272,26 +233,26 @@ bool try_dispatch_group_by_index(std::span<const Record> in, GetKey&& get_key,
   std::span<size_t> order(result.order.data(), n);
   size_t passes = 1;
   if (dom.width <= kCountingOnePassMaxWidth) {
-    counting_place_stable(
+    counting_distribute(
         n, static_cast<size_t>(dom.width),
         [&](size_t i) { return static_cast<size_t>(get_key(in[i]) - min); },
-        [&](size_t i, size_t pos) { order[pos] = i; }, ctx);
+        [&](size_t i, size_t pos) { order[pos] = i; }, ctx.scratch);
   } else {
     passes = 2;
     std::span<size_t> tmp(ctx.scratch.alloc<size_t>(n), n);
     size_t high_width = static_cast<size_t>(((dom.width - 1) >> 16) + 1);
-    counting_place_stable(
+    counting_distribute(
         n, static_cast<size_t>(kCountingOnePassMaxWidth),
         [&](size_t i) {
           return static_cast<size_t>((get_key(in[i]) - min) & 0xffff);
         },
-        [&](size_t i, size_t pos) { tmp[pos] = i; }, ctx);
-    counting_place_stable(
+        [&](size_t i, size_t pos) { tmp[pos] = i; }, ctx.scratch);
+    counting_distribute(
         n, high_width,
         [&](size_t i) {
           return static_cast<size_t>((get_key(in[tmp[i]]) - min) >> 16);
         },
-        [&](size_t i, size_t pos) { order[pos] = tmp[i]; }, ctx);
+        [&](size_t i, size_t pos) { order[pos] = tmp[i]; }, ctx.scratch);
   }
   if (pt != nullptr) pt->record("dispatch index place");
   std::span<size_t> starts = pack_index_arena(

@@ -72,7 +72,7 @@ struct semisort_plan {
   // Overlap spill I/O with shard compute on a dedicated one-worker I/O
   // pool (shard/shard_driver.h): prefetch shard k+1's spill run while
   // shard k computes. Planned, not hard-coded: adaptive default is the
-  // spill path with ≥ 2 shards; PARSEMI_SHARD_OVERLAP=on/off overrides.
+  // spill path with ≥ 2 shards; PARSEMI_SHARD_OVERLAP=off turns it off.
   bool overlap_io = false;
 
   // --- execution environment the plan was built against ---

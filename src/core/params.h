@@ -255,24 +255,21 @@ struct semisort_params {
 
   // Front-end dispatch *above* the pipeline (core/dispatch.h). `adaptive`
   // probes the key domain and takes the stable counting path when the keys
-  // occupy a small dense integer domain, the general pipeline otherwise;
-  // `general` pins the paper's pipeline (no probe); `counting` forces the
-  // integer fast path, falling back to general — recorded in stats as
-  // dispatch_path_used == general with key_domain_width == 0 — when the
-  // domain is ineligible. The PARSEMI_DISPATCH_PATH environment variable
-  // (general / counting) overrides this knob without recompiling,
-  // mirroring PARSEMI_SCATTER_PATH.
-  enum class dispatch_strategy : uint8_t { adaptive, general, counting };
+  // occupy a small dense integer domain, the general pipeline otherwise —
+  // recorded in stats as dispatch_path_used == general with
+  // key_domain_width == 0; `general` pins the paper's pipeline (no probe).
+  // The PARSEMI_DISPATCH_PATH environment variable (general) overrides
+  // this knob without recompiling, mirroring PARSEMI_SCATTER_PATH.
+  enum class dispatch_strategy : uint8_t { adaptive, general };
   dispatch_strategy dispatch_with = dispatch_strategy::adaptive;
 
   // Out-of-core spill-I/O overlap (shard/shard_driver.h): `adaptive` lets
   // the planner enable the dedicated I/O pool whenever the call spills
-  // across ≥ 2 shards, `on` / `off` pin the decision. The
-  // PARSEMI_SHARD_OVERLAP environment variable (on / off / adaptive)
-  // overrides this knob, mirroring the scatter/dispatch precedents. The
-  // decision lands in the plan (semisort_plan::overlap_io), never inline
-  // in the driver.
-  enum class overlap_strategy : uint8_t { adaptive, on, off };
+  // across ≥ 2 shards, `off` turns it off. The PARSEMI_SHARD_OVERLAP
+  // environment variable (off / adaptive) overrides this knob, mirroring
+  // the scatter/dispatch precedents. The decision lands in the plan
+  // (semisort_plan::overlap_io), never inline in the driver.
+  enum class overlap_strategy : uint8_t { adaptive, off };
   overlap_strategy shard_overlap = overlap_strategy::adaptive;
 
   size_t pack_intervals = 1000;     // §4 Phase 5 heavy-region pack

@@ -99,7 +99,6 @@ inline uint64_t fingerprint_params(const semisort_params& p) {
 // params.shard_overlap.
 inline constexpr env_choice<semisort_params::overlap_strategy>
     kShardOverlapEnv[] = {
-        {"on", semisort_params::overlap_strategy::on},
         {"off", semisort_params::overlap_strategy::off},
         {"adaptive", semisort_params::overlap_strategy::adaptive},
 };

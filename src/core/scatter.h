@@ -2,16 +2,12 @@
 //
 // Two placement strategies:
 //
-//   * blocked (the default): exact-offset distribution by bucket id, the
-//     per-(block, bucket) counting distribution of Dong et al. 2024. Pass 1
-//     builds per-block bucket histograms (primitives/histogram.h); column
-//     sums give each bucket's exact total, one exclusive scan over the
-//     totals gives each bucket's start, and a strided column scan seeded
-//     with that start (primitives/scan.h) turns the (block × bucket) matrix
-//     into write cursors. Pass 2 writes every record straight to its final
-//     offset in the output — zero atomics, no slack slots, no sentinel, no
-//     overflow, nothing left to pack. Placement is stable and deterministic
-//     at every worker count.
+//   * blocked (the default): exact-offset distribution by bucket id — one
+//     call of the stable counting distribution (counting_distribute,
+//     primitives/counting_sort.h), which writes every record straight to
+//     its final offset in the output: zero atomics, no slack slots, no
+//     sentinel, no overflow, nothing left to pack. Placement is stable and
+//     deterministic at every worker count.
 //   * CAS (the paper's §4 scatter, kept as the paper-literal ablation):
 //     every record claims a random slot of its bucket's α·f(s)-sized range
 //     in a slot array (scatter_storage) with a compare-and-swap,
@@ -48,8 +44,7 @@
 #include "core/bucket_plan.h"
 #include "core/params.h"
 #include "core/pipeline_context.h"
-#include "primitives/histogram.h"
-#include "primitives/scan.h"
+#include "primitives/counting_sort.h"
 #include "util/default_init_buffer.h"
 #include "scheduler/scheduler.h"
 #include "util/env.h"
@@ -311,51 +306,17 @@ scatter_result scatter_records(std::span<const Record> in,
 // position in `dst` (same length, must not alias `in`), grouped by bucket
 // id in bucket order — heavy buckets first, then light — and stable within
 // each bucket. Returns the num_buckets + 1 bucket starts: bucket b occupies
-// dst[start[b], start[b + 1]), and start[num_buckets] == n. The starts and
-// all other scratch come from ctx's arena.
+// dst[start[b], start[b + 1]), and start[num_buckets] == n. The starts
+// come from ctx's arena (counting_distribute).
 template <typename Record, typename GetKey>
 std::span<const size_t> scatter_blocked(std::span<const Record> in,
                                         std::span<Record> dst,
                                         const bucket_plan& plan,
                                         GetKey get_key, pipeline_context& ctx) {
-  size_t n = in.size();
-  size_t num_buckets = plan.num_buckets();
-  size_t block = histogram_block_size(n, num_buckets);
-  size_t num_blocks = histogram_num_blocks(n, block);
-  size_t* counts = ctx.scratch.alloc<size_t>(num_blocks * num_buckets);
-  std::span<size_t> start(ctx.scratch.alloc<size_t>(num_buckets + 1),
-                          num_buckets + 1);
-
-  // Pass 1 — count.
-  auto bucket_at = [&](size_t i) { return plan.bucket_of(get_key(in[i])); };
-  histogram_blocks(n, block, num_buckets, counts, bucket_at);
-
-  // Bucket totals (column sums), then one exclusive scan over them: start[b]
-  // becomes bucket b's exact first offset.
-  parallel_for(0, num_buckets, [&](size_t b) {
-    size_t sum = 0;
-    for (size_t blk = 0; blk < num_blocks; ++blk)
-      sum += counts[blk * num_buckets + b];
-    start[b] = sum;
-  });
-  start[num_buckets] = 0;
-  size_t scan_blocks = internal::scan_num_blocks(num_buckets + 1);
-  scan_exclusive_inplace(
-      start, size_t{0},
-      std::span<size_t>(ctx.scratch.alloc<size_t>(scan_blocks), scan_blocks));
-
-  // Column scan seeded with each bucket's start: counts[blk][b] becomes the
-  // offset where block blk writes its first record of bucket b.
-  parallel_for(0, num_buckets, [&](size_t b) {
-    scan_exclusive_strided(counts + b, num_blocks, num_buckets, start[b]);
-  });
-
-  // Pass 2 — place. Each block owns disjoint destination ranges per bucket.
-  parallel_for_blocks(n, block, [&](size_t blk, size_t lo, size_t hi) {
-    size_t* cursor = counts + blk * num_buckets;
-    for (size_t i = lo; i < hi; ++i) dst[cursor[bucket_at(i)]++] = in[i];
-  });
-  return start;
+  return counting_distribute(
+      in.size(), plan.num_buckets(),
+      [&](size_t i) { return plan.bucket_of(get_key(in[i])); },
+      [&](size_t i, size_t pos) { dst[pos] = in[i]; }, ctx.scratch);
 }
 
 // --- path selection ----------------------------------------------------

@@ -1,14 +1,22 @@
-// Stable parallel counting sort — the paper's §2 building block and the
-// per-pass workhorse of the radix sort (§4 Phase 1).
+// Stable parallel counting distribution — the paper's §2 building block.
+// The blocked scatter (core/scatter.h), the dense-key dispatch kernels
+// (core/dispatch.h), the shard partition (shard/shard_driver.h), the sample
+// sorter (core/sampler.h) and, through counting_sort, the radix and sample
+// sort baselines all run on counting_distribute.
 //
 // Three phases over n/B blocks:
-//   1. each block counts its keys per bucket           (parallel, O(n) work)
-//   2. a scan over the (bucket-major) count matrix
-//      turns counts into write offsets                 (O(#blocks·m) work)
-//   3. each block re-reads its elements and writes
-//      them to their offsets                           (parallel, O(n) work)
-// Blocks are processed in order within each bucket and elements in order
-// within each block, so the sort is stable.
+//   1. each block counts its keys per bucket into its own row of a
+//      (block × bucket) matrix (primitives/histogram.h)  (parallel, O(n))
+//   2. column sums give each bucket's total, one scan over the totals gives
+//      each bucket's start, and a strided scan down each column seeded with
+//      that start turns the matrix into per-block write cursors
+//                                                        (O(#blocks·m))
+//   3. each block re-reads its elements and places each at its row's
+//      cursor for its bucket                             (parallel, O(n))
+// Blocks are visited in order within each bucket and elements in order
+// within each block, so the distribution is stable, and it is the same at
+// every worker count. No atomics: each block owns its matrix row, and each
+// row's cursors claim disjoint destination ranges.
 #pragma once
 
 #include <cstddef>
@@ -16,10 +24,47 @@
 #include <span>
 #include <vector>
 
+#include "core/arena.h"
+#include "primitives/histogram.h"
 #include "primitives/scan.h"
 #include "scheduler/scheduler.h"
 
 namespace parsemi {
+
+// Stable counting distribution of the indices [0, n) by bucket_at(i) ∈
+// [0, num_buckets): place(i, pos) is called once per index with its
+// destination pos, and the positions of each bucket's indices are
+// contiguous and increase with i. Returns the num_buckets + 1 bucket
+// starts: bucket b occupies [starts[b], starts[b + 1]), starts[num_buckets]
+// == n. The starts come from `scratch` and live until the caller rewinds
+// it; the count matrix lives only inside the call, so a warm arena serves
+// the call with no heap allocation. bucket_at is evaluated twice per index.
+template <typename BucketAt, typename PlaceFn>
+std::span<const size_t> counting_distribute(size_t n, size_t num_buckets,
+                                            BucketAt&& bucket_at,
+                                            PlaceFn&& place, arena& scratch) {
+  std::span<size_t> starts(scratch.alloc<size_t>(num_buckets + 1),
+                           num_buckets + 1);
+  arena_scope scope(scratch);
+  size_t block = histogram_block_size(n, num_buckets);
+  size_t num_blocks = histogram_num_blocks(n, block);
+  size_t* counts = scratch.alloc<size_t>(num_blocks * num_buckets);
+  histogram_blocks(n, block, num_buckets, counts, bucket_at);
+  histogram_totals(counts, num_blocks, num_buckets, starts.data());
+  starts[num_buckets] = 0;
+  size_t scan_blocks = internal::scan_num_blocks(num_buckets + 1);
+  scan_exclusive_inplace(
+      starts, size_t{0},
+      std::span<size_t>(scratch.alloc<size_t>(scan_blocks), scan_blocks));
+  parallel_for(0, num_buckets, [&](size_t k) {
+    scan_exclusive_strided(counts + k, num_blocks, num_buckets, starts[k]);
+  });
+  parallel_for_blocks(n, block, [&](size_t b, size_t lo, size_t hi) {
+    size_t* cursor = counts + b * num_buckets;
+    for (size_t i = lo; i < hi; ++i) place(i, cursor[bucket_at(i)]++);
+  });
+  return starts;
+}
 
 // Stably sorts `in` into `out` (same length) by key(in[i]) ∈ [0, num_buckets).
 // If `bucket_starts` is non-null it receives num_buckets+1 boundaries, i.e.
@@ -28,44 +73,12 @@ template <typename T, typename KeyFn>
 void counting_sort(std::span<const T> in, std::span<T> out,
                    size_t num_buckets, KeyFn&& key,
                    std::vector<size_t>* bucket_starts = nullptr) {
-  size_t n = in.size();
-  if (bucket_starts != nullptr) bucket_starts->assign(num_buckets + 1, 0);
-  if (n == 0) return;
-
-  // Blocks big enough that the count matrix stays small relative to n, but
-  // enough of them for parallel balance.
-  size_t p = static_cast<size_t>(num_workers());
-  size_t block = std::max<size_t>(std::max<size_t>(num_buckets, 4096),
-                                  n / (8 * p) + 1);
-  size_t num_blocks = (n + block - 1) / block;
-
-  // counts is bucket-major: counts[bucket * num_blocks + block]. Scanning it
-  // linearly then yields, for each (bucket, block), the first write position
-  // of that block's elements of that bucket.
-  std::vector<size_t> counts(num_buckets * num_blocks, 0);
-  parallel_for_blocks(n, block, [&](size_t b, size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i)
-      counts[key(in[i]) * num_blocks + b]++;
-  });
-
-  size_t total = scan_exclusive_inplace(std::span<size_t>(counts));
-  (void)total;
-
-  if (bucket_starts != nullptr) {
-    // Boundary of bucket b = offset of (bucket b, block 0); final = n.
-    for (size_t q = 0; q < num_buckets; ++q)
-      (*bucket_starts)[q] = counts[q * num_blocks];
-    (*bucket_starts)[num_buckets] = n;
-  }
-
-  parallel_for_blocks(n, block, [&](size_t b, size_t lo, size_t hi) {
-    // Local cursor per bucket for this block (strided reads of the matrix).
-    std::vector<size_t> cursor(num_buckets);
-    for (size_t q = 0; q < num_buckets; ++q)
-      cursor[q] = counts[q * num_blocks + b];
-    for (size_t i = lo; i < hi; ++i)
-      out[cursor[key(in[i])]++] = in[i];
-  });
+  arena scratch;
+  std::span<const size_t> starts = counting_distribute(
+      in.size(), num_buckets, [&](size_t i) { return key(in[i]); },
+      [&](size_t i, size_t pos) { out[pos] = in[i]; }, scratch);
+  if (bucket_starts != nullptr)
+    bucket_starts->assign(starts.begin(), starts.end());
 }
 
 // Sequential reference (used for tests and tiny inputs).

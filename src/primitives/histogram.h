@@ -29,10 +29,10 @@ inline size_t histogram_num_blocks(size_t n, size_t block) {
 // Per-block counting pass into caller-provided scratch: counts becomes a
 // row-major (num_blocks × num_buckets) matrix where row b holds the bucket
 // histogram of elements [b*block, min((b+1)*block, n)). The caller owns the
-// scratch (histogram_num_blocks(n, block) * num_buckets entries — the
-// arena-backed blocked scatter passes ctx memory and stays heap-free) and
-// the block size, so a later placement pass can revisit the exact same
-// blocking. Rows are zeroed here; no column reduction is performed.
+// scratch (histogram_num_blocks(n, block) * num_buckets entries —
+// counting_distribute passes arena memory and stays heap-free) and the
+// block size, so a later placement pass can revisit the exact same
+// blocking. Rows are zeroed here; histogram_totals gives the column sums.
 template <typename KeyFn>
 void histogram_blocks(size_t n, size_t block, size_t num_buckets,
                       size_t* counts, KeyFn&& key) {
@@ -58,6 +58,17 @@ void histogram_blocks(size_t n, size_t block, size_t num_buckets,
   });
 }
 
+// Column sums of a histogram_blocks matrix: totals[k] = sum over the
+// num_blocks rows of counts[b * num_buckets + k]. Parallel across buckets.
+inline void histogram_totals(const size_t* counts, size_t num_blocks,
+                             size_t num_buckets, size_t* totals) {
+  parallel_for(0, num_buckets, [&](size_t k) {
+    size_t sum = 0;
+    for (size_t b = 0; b < num_blocks; ++b) sum += counts[b * num_buckets + k];
+    totals[k] = sum;
+  });
+}
+
 // Histogram of raw index-derived keys: counts[k] = |{ i : key(i) == k }|.
 template <typename KeyFn>
 std::vector<size_t> histogram_index(size_t n, size_t num_buckets,
@@ -66,12 +77,8 @@ std::vector<size_t> histogram_index(size_t n, size_t num_buckets,
   size_t num_blocks = histogram_num_blocks(n, block);
   std::vector<size_t> counts(num_buckets * num_blocks);
   histogram_blocks(n, block, num_buckets, counts.data(), key);
-  std::vector<size_t> totals(num_buckets, 0);
-  parallel_for(0, num_buckets, [&](size_t k) {
-    size_t sum = 0;
-    for (size_t b = 0; b < num_blocks; ++b) sum += counts[b * num_buckets + k];
-    totals[k] = sum;
-  });
+  std::vector<size_t> totals(num_buckets);
+  histogram_totals(counts.data(), num_blocks, num_buckets, totals.data());
   return totals;
 }
 

@@ -7,15 +7,14 @@
 // Structure of a sharded call (the plan is made before the driver runs —
 // shard/shard_plan.h groups hash-prefix bins into shards whose estimated
 // input + engine scratch fits the budget):
-//   1. partition — one stable blocked counting pass (the same
-//                histogram / strided-scan / placement idiom as the blocked
-//                scatter and the dispatch fast path) moves every record to
-//                its shard's contiguous range. The destination is the
-//                caller's `out` storage when it is distinct from `in`;
-//                when the call is in-place the partition writes an
-//                mmap-backed spill run (spill_file.h) instead — the kernel
-//                pages it to disk under pressure, which is what keeps the
-//                resident set near the budget.
+//   1. partition — one stable counting distribution by shard id
+//                (counting_distribute, primitives/counting_sort.h) moves
+//                every record to its shard's contiguous range. The
+//                destination is the caller's `out` storage when it is
+//                distinct from `in`; when the call is in-place the
+//                partition writes an mmap-backed spill run (spill_file.h)
+//                instead — the kernel pages it to disk under pressure,
+//                which is what keeps the resident set near the budget.
 //   2. execute — each shard runs the unchanged in-memory engine through the
 //                existing worker_pool, with one reused pipeline_context so
 //                shards after the first perform zero heap allocations.
@@ -52,13 +51,11 @@
 #include "core/executor.h"
 #include "core/params.h"
 #include "core/pipeline_context.h"
-#include "primitives/histogram.h"
-#include "primitives/scan.h"
+#include "primitives/counting_sort.h"
 #include "scheduler/job_gateway.h"
 #include "scheduler/scheduler.h"
 #include "shard/shard_plan.h"
 #include "shard/spill_file.h"
-#include "util/simd.h"
 
 namespace parsemi {
 namespace internal {
@@ -142,52 +139,12 @@ void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
     }
     if (pt != nullptr) pt->record("shard plan");
 
-    // Stable blocked partition by shard id (exact counts, zero atomics —
-    // the dispatch fast path's counting_place_stable shape, inlined here
-    // because the driver also needs the per-shard totals for the ranges).
-    pipeline_context drv_ctx;
-    std::vector<size_t> shard_begin(S + 1, 0);
-    {
-      arena_scope scope(drv_ctx.scratch);
-      auto shard_at = [&](size_t i) {
-        return sp.shard_of_key(get_key(in[i]));
-      };
-      size_t block = histogram_block_size(n, S);
-      size_t num_blocks = histogram_num_blocks(n, block);
-      size_t* counts = drv_ctx.scratch.alloc<size_t>(num_blocks * S);
-      histogram_blocks(n, block, S, counts, shard_at);
-      std::vector<size_t> totals(S, 0);
-      parallel_for(0, S, [&](size_t k) {
-        size_t sum = 0;
-        for (size_t b = 0; b < num_blocks; ++b) sum += counts[b * S + k];
-        totals[k] = sum;
-      });
-      for (size_t k = 0; k < S; ++k)
-        shard_begin[k + 1] = shard_begin[k] + totals[k];
-      parallel_for(0, S, [&](size_t k) {
-        scan_exclusive_strided(counts + k, num_blocks, S, shard_begin[k]);
-      });
-      parallel_for_blocks(n, block, [&](size_t b, size_t lo, size_t hi) {
-        size_t* cursor = counts + b * S;
-        if constexpr (simd::kEnabled) {
-          // Shard ids are independent (hash prefix of the key) — compute 4
-          // per round so their chains overlap; the dependent cursor bumps
-          // then retire back-to-back.
-          size_t i = lo;
-          for (; i + 4 <= hi; i += 4) {
-            size_t s0 = shard_at(i), s1 = shard_at(i + 1), s2 = shard_at(i + 2),
-                   s3 = shard_at(i + 3);
-            part[cursor[s0]++] = in[i];
-            part[cursor[s1]++] = in[i + 1];
-            part[cursor[s2]++] = in[i + 2];
-            part[cursor[s3]++] = in[i + 3];
-          }
-          for (; i < hi; ++i) part[cursor[shard_at(i)]++] = in[i];
-        } else {
-          for (size_t i = lo; i < hi; ++i) part[cursor[shard_at(i)]++] = in[i];
-        }
-      });
-    }
+    // Stable partition by shard id: shard_begin[s] is where shard s's
+    // contiguous range starts, shard_begin[S] == n.
+    arena part_scratch;
+    std::span<const size_t> shard_begin = counting_distribute(
+        n, S, [&](size_t i) { return sp.shard_of_key(get_key(in[i])); },
+        [&](size_t i, size_t pos) { part[pos] = in[i]; }, part_scratch);
     if (pt != nullptr) pt->record("partition");
 
     // Overlapped spill I/O: a dedicated one-worker pool faults the next
@@ -273,9 +230,9 @@ void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
       // The call's resident scratch is one engine's working set (shards are
       // sequential) plus the driver's partition matrix.
       st.peak_scratch_bytes = std::max(agg.shard_peak_scratch_bytes,
-                                       drv_ctx.scratch.high_water_bytes());
+                                       part_scratch.high_water_bytes());
       st.scratch_capacity_bytes = shard_ctx.scratch.capacity_bytes() +
-                                  drv_ctx.scratch.capacity_bytes();
+                                  part_scratch.capacity_bytes();
     }
   });
 }

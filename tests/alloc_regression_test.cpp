@@ -280,9 +280,8 @@ TEST(AllocRegression, DerivedOperatorAllocatesOnlyItsResults) {
 TEST(AllocRegression, CountingDispatchPathsZeroHeapAllocationsWhenWarm) {
   // The front-end dispatch's counting kernels (core/dispatch.h) provision
   // count matrices, offsets, and staging buffers from the same arena as the
-  // general pipeline. Forcing each dispatch strategy — across both the
-  // one-pass tier (width ≤ 2^16) and the two-pass radix tier — must stay
-  // zero-alloc once the shared context is warm.
+  // general pipeline. Both tiers — one-pass (width ≤ 2^16) and the two-pass
+  // radix tier — must stay zero-alloc once the shared context is warm.
   size_t n = 150000;
   // One-pass tier: dense domain of width 50000 < 2^16.
   auto narrow = generate_records_raw(n, {distribution_kind::uniform, 50000}, 5);
@@ -296,36 +295,24 @@ TEST(AllocRegression, CountingDispatchPathsZeroHeapAllocationsWhenWarm) {
   params.context = &ctx;
   params.stats = &stats;
 
-  constexpr semisort_params::dispatch_strategy kStrategies[] = {
-      semisort_params::dispatch_strategy::counting,
-      semisort_params::dispatch_strategy::adaptive,
-  };
-  for (auto s : kStrategies) {  // warm every path × tier footprint
-    params.dispatch_with = s;
-    for (int round = 0; round < 2; ++round) {
-      semisort_hashed(std::span<const record>(narrow), std::span<record>(out),
-                      record_key{}, params);
-      semisort_hashed(std::span<const record>(wide), std::span<record>(out),
-                      record_key{}, params);
-    }
+  for (int round = 0; round < 2; ++round) {  // warm both tier footprints
+    semisort_hashed(std::span<const record>(narrow), std::span<record>(out),
+                    record_key{}, params);
+    semisort_hashed(std::span<const record>(wide), std::span<record>(out),
+                    record_key{}, params);
   }
-  for (auto s : kStrategies) {
-    params.dispatch_with = s;
-    size_t before = heap_allocs();
-    for (int round = 0; round < 3; ++round) {
-      semisort_hashed(std::span<const record>(narrow), std::span<record>(out),
-                      record_key{}, params);
-      EXPECT_NE(stats.dispatch_path_used, dispatch_path::general);
-      semisort_hashed(std::span<const record>(wide), std::span<record>(out),
-                      record_key{}, params);
-      EXPECT_NE(stats.dispatch_path_used, dispatch_path::general);
-    }
-    size_t leaked = heap_allocs() - before;
-    EXPECT_EQ(leaked, 0u) << leaked
-                          << " heap allocations on dispatch strategy "
-                          << static_cast<int>(s);
-    EXPECT_TRUE(testing::valid_semisort(out, wide));
+  size_t before = heap_allocs();
+  for (int round = 0; round < 3; ++round) {
+    semisort_hashed(std::span<const record>(narrow), std::span<record>(out),
+                    record_key{}, params);
+    EXPECT_NE(stats.dispatch_path_used, dispatch_path::general);
+    semisort_hashed(std::span<const record>(wide), std::span<record>(out),
+                    record_key{}, params);
+    EXPECT_NE(stats.dispatch_path_used, dispatch_path::general);
   }
+  size_t leaked = heap_allocs() - before;
+  EXPECT_EQ(leaked, 0u) << leaked << " heap allocations on the counting path";
+  EXPECT_TRUE(testing::valid_semisort(out, wide));
 }
 
 TEST(AllocRegression, CountByKeyOffsetsAllocatesOnlyTheResult) {

@@ -3,8 +3,10 @@
 // the arena) and the derived operators on the tag spine — the general-key
 // semisort, group_by, group_by_hashed, collect_reduce, the general-path
 // count_by_key, map_reduce, equi_join and group_aggregate — produce
-// byte-identical output at every worker count. Every default route —
-// counting, offsets, exact-offset distribution — places records stably, so
+// byte-identical output at every worker count, in memory and on the
+// sharded route under a memory budget. Every default route — counting,
+// offsets, exact-offset distribution, shard partition — places records
+// stably, so
 // the only thing the worker count may change is the wall clock. Each cell
 // runs on standalone pools of 1, 2 and 4 workers (routed through
 // params.pool) and compares raw output bytes against the 1-worker run.
@@ -62,21 +64,33 @@ bool same_bytes(const std::vector<Record>& a, const std::vector<Record>& b) {
 }
 
 // Runs both entry points on `in` at 1, 2 and 4 workers; every output must
-// equal the 1-worker output of the same entry point byte for byte.
+// equal the 1-worker output of the same entry point byte for byte. A
+// nonzero `memory_budget` routes both entries through the shard driver,
+// which must then actually split the input.
 template <typename Record, typename GetKey>
 void expect_worker_count_invariant(const std::vector<Record>& in,
-                                   GetKey get_key, const std::string& cell) {
+                                   GetKey get_key, const std::string& cell,
+                                   size_t memory_budget = 0) {
   std::vector<Record> ref_out, ref_inplace;
   for (int workers : {1, 2, 4}) {
     worker_pool pool(workers);
     semisort_params params;
     params.pool = &pool;
+    params.memory_budget_bytes = memory_budget;
+    semisort_stats stats;
+    if (memory_budget != 0) params.stats = &stats;
 
     std::vector<Record> out(in.size());
     semisort_hashed(std::span<const Record>(in), std::span<Record>(out),
                     get_key, params);
+    if (memory_budget != 0) {
+      ASSERT_GE(stats.shards, 2u) << cell;
+    }
     std::vector<Record> data(in);
     semisort_hashed_inplace(std::span<Record>(data), get_key, params);
+    if (memory_budget != 0) {
+      ASSERT_GE(stats.shards, 2u) << cell;
+    }
 
     ASSERT_TRUE(testing::is_semisorted(std::span<const Record>(out), get_key))
         << cell;
@@ -105,6 +119,28 @@ TEST(Determinism, DefaultRoutesAreByteIdenticalAcrossWorkerCounts) {
                          " keys=" + std::to_string(spec.parameter);
       expect_worker_count_invariant(in, record_key{}, cell + " 16B");
       expect_worker_count_invariant(widen(in), wide_key{}, cell + " 128B");
+    }
+  }
+}
+
+// The sharded route: a budget of 1/8 of the in-memory footprint splits the
+// input into several shards — the stable partition into shard ranges, then
+// the in-memory engine per shard, through `out` (copying entry) and
+// through an mmap spill run (in-place entry).
+TEST(Determinism, ShardedRouteIsByteIdenticalAcrossWorkerCounts) {
+  for (size_t n : {size_t{20'000}, size_t{200'000}}) {
+    for (uint64_t keys : {uint64_t{0}, uint64_t{1000}}) {
+      distribution_spec spec{distribution_kind::uniform,
+                             keys == 0 ? n : keys};
+      auto in = generate_records(n, spec, 13 + n);
+      std::string cell = "sharded n=" + std::to_string(n) +
+                         " keys=" + std::to_string(spec.parameter);
+      expect_worker_count_invariant(
+          in, record_key{}, cell + " 16B",
+          scratch_model{}.footprint_bytes(n, sizeof(record)) / 8);
+      expect_worker_count_invariant(
+          widen(in), wide_key{}, cell + " 128B",
+          scratch_model{}.footprint_bytes(n, sizeof(wide_record)) / 8);
     }
   }
 }
@@ -177,7 +213,9 @@ TEST(Determinism, DerivedOperatorsAreByteIdenticalAcrossWorkerCounts) {
       std::vector<std::string> words(n);
       std::vector<std::string_view> word_views(n);
       for (size_t i = 0; i < n; ++i) {
-        words[i] = "w" + std::to_string(in[i].key % 5000);
+        // push_back/+= rather than "w" + …: GCC 12's -Wrestrict misfires
+        words[i].push_back('w');
+        words[i] += std::to_string(in[i].key % 5000);
         word_views[i] = words[i];
       }
       expect_operator_invariant<std::pair<std::string_view, size_t>>(

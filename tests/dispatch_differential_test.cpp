@@ -5,7 +5,7 @@
 //
 // Contract asserted per configuration, against the pinned general
 // pipeline:
-//   * counting path (forced, or adaptive when the probe accepts):
+//   * counting path (adaptive, when the probe accepts):
 //     byte-identical to the stable sort by key — the strongest form of
 //     determinism — at every worker count, fuzzed schedule, and entry
 //     point (copying and in-place);
@@ -113,9 +113,8 @@ std::optional<std::string> all_paths_agree(const dd_config& c) {
       stable_ref.begin(), stable_ref.end(),
       [](const record& a, const record& b) { return a.key < b.key; });
 
-  for (strategy s : {strategy::adaptive, strategy::counting}) {
-    semisort_params params;
-    params.dispatch_with = s;
+  {
+    semisort_params params;  // adaptive: counting when the probe accepts
     params.seed = c.data_seed;
     semisort_stats stats;
     params.stats = &stats;
@@ -123,7 +122,7 @@ std::optional<std::string> all_paths_agree(const dd_config& c) {
     std::vector<record> out(c.n);
     semisort_hashed(in_span, std::span<record>(out), record_key{}, params);
     if (!testing::valid_semisort(out, in_span))
-      return "semisort contract broken, strategy " +
+      return "semisort contract broken, path " +
              std::string(to_string(stats.dispatch_path_used));
     auto got_counts =
         testing::key_counts(std::span<const record>(out), record_key{});
@@ -161,9 +160,8 @@ std::optional<std::string> all_paths_agree(const dd_config& c) {
   auto general_counts =
       sorted_pairs(count_by_key(std::span<const uint64_t>(keys), hash,
                                 std::equal_to<>{}, general_params));
-  for (strategy s : {strategy::adaptive, strategy::counting}) {
+  {
     semisort_params params;
-    params.dispatch_with = s;
     auto got = sorted_pairs(count_by_key(std::span<const uint64_t>(keys),
                                          hash, std::equal_to<>{}, params));
     if (got != general_counts) return "count_by_key disagrees";
@@ -181,9 +179,8 @@ std::optional<std::string> all_paths_agree(const dd_config& c) {
   };
   auto general_groups =
       index_groups(group_by_index(in_span, record_key{}, general_params));
-  for (strategy s : {strategy::adaptive, strategy::counting}) {
+  {
     semisort_params params;
-    params.dispatch_with = s;
     auto got = index_groups(group_by_index(in_span, record_key{}, params));
     if (got != general_groups) return "group_by_index disagrees";
   }

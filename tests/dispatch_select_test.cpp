@@ -154,10 +154,10 @@ TEST(DispatchSelect, StatsReportChosenPathEndToEnd) {
   EXPECT_EQ(general.counting_passes, 0u);
   EXPECT_GT(general.total_slots, 0u);  // the pipeline actually ran
 
-  // Forced counting on an ineligible (hashed) domain: recorded fallback.
+  // Adaptive on an ineligible (hashed) domain: recorded fallback.
   auto hashed =
       generate_records(100000, {distribution_kind::uniform, 1000}, 23);
-  semisort_stats fallback = run_semisort(hashed, strategy::counting);
+  semisort_stats fallback = run_semisort(hashed, strategy::adaptive);
   EXPECT_EQ(fallback.dispatch_path_used, dispatch_path::general);
   EXPECT_EQ(fallback.key_domain_width, 0u);
   EXPECT_EQ(fallback.counting_passes, 0u);
@@ -175,7 +175,7 @@ TEST(DispatchSelect, CountingPathIsStableAndDeterministic) {
   }
   {
     proptest::scoped_workers w(4);
-    run_semisort(dense, strategy::counting, &out4);
+    run_semisort(dense, strategy::adaptive, &out4);
   }
   // Stable ⇒ exactly the stable sort, at every worker count.
   EXPECT_EQ(out2, ref);
@@ -186,7 +186,7 @@ TEST(DispatchSelect, TwoPassRadixTierHandlesWideDomains) {
   // width 100000 > 2^16 forces the two 16-bit-digit passes.
   auto dense = dense_records(150000, 5, 100000);
   std::vector<record> out;
-  semisort_stats stats = run_semisort(dense, strategy::counting, &out);
+  semisort_stats stats = run_semisort(dense, strategy::adaptive, &out);
   EXPECT_EQ(stats.dispatch_path_used, dispatch_path::counting);
   EXPECT_EQ(stats.counting_passes, 2u);
   EXPECT_EQ(stats.key_domain_width, 100000u);
@@ -207,10 +207,9 @@ TEST(DispatchSelect, AllEqualKeysTakeCountingPath) {
 TEST(DispatchSelect, InplaceEntryMatchesCopyingEntry) {
   auto dense = dense_records(80000, 3000, 40000);
   std::vector<record> copied;
-  run_semisort(dense, strategy::counting, &copied);
+  run_semisort(dense, strategy::adaptive, &copied);
   std::vector<record> data(dense);
   semisort_params params;
-  params.dispatch_with = strategy::counting;
   semisort_stats stats;
   params.stats = &stats;
   semisort_hashed_inplace(std::span<record>(data), record_key{}, params);

@@ -2,7 +2,7 @@
 // sweep from derived_ops_stress, but with *dense integer* keys so the
 // counting / offsets paths actually engage — through ONE shared
 // pipeline_context across all trials, under varying worker counts and
-// perturbed schedules. Each trial forces one dispatch strategy; identity
+// perturbed schedules. Each trial pins one dispatch strategy; identity
 // hashes route even the tag-spine operators (map_reduce, equi_join,
 // group_aggregate, general semisort) through the counting sort, because the
 // inner tag semisort sees the dense hash values. Runs in the asan × stress
@@ -53,15 +53,14 @@ struct dsp_config {
   uint64_t data_seed = 1;
 };
 
-constexpr strategy kStrategies[] = {strategy::adaptive, strategy::counting,
-                                    strategy::general};
+constexpr strategy kStrategies[] = {strategy::adaptive, strategy::general};
 
 dsp_config generate(rng& r) {
   dsp_config c;
   c.n = proptest::log_uniform_u64(r, 64, 60000);
   // Width straddles every dispatch tier: sub-64 (all-dense tiny), one-pass
   // counting (< 2^16), the two-pass radix tier (> 2^16 when 2n allows), and
-  // ineligible (≥ 2n → forced strategies must fall back to general).
+  // ineligible (≥ 2n → adaptive must fall back to general).
   c.width = proptest::log_uniform_u64(r, 1, 4 * c.n + 70000);
   c.base = r.next_below(2) ? 0 : r.next_below(1u << 20);
   c.strat = static_cast<int>(r.next_below(std::size(kStrategies)));

@@ -335,7 +335,9 @@ TEST_P(EnvOverride, BeatsParamsAndUnknownValuesFallThrough) {
 }
 
 // Params are pinned to cas / general / off: an override that wins shows up
-// as blocked / counting / on; one that falls through leaves the pin.
+// as blocked / on; one that falls through leaves the pin. The dispatch
+// override's one value (general) equals its pin, so its win is asserted
+// separately below.
 constexpr env_case kEnvCases[] = {
     {"PARSEMI_SCATTER_PATH", nullptr, "cas"},
     {"PARSEMI_SCATTER_PATH", "blocked", "blocked"},
@@ -343,12 +345,12 @@ constexpr env_case kEnvCases[] = {
     {"PARSEMI_SCATTER_PATH", "adaptive", "cas"},
     {"PARSEMI_SCATTER_PATH", "warp-drive", "cas"},
     {"PARSEMI_DISPATCH_PATH", nullptr, "general"},
-    {"PARSEMI_DISPATCH_PATH", "counting", "counting"},
+    {"PARSEMI_DISPATCH_PATH", "counting", "general"},  // retired value
     {"PARSEMI_DISPATCH_PATH", "unstable", "general"},  // retired value
     {"PARSEMI_DISPATCH_PATH", "adaptive", "general"},
     {"PARSEMI_DISPATCH_PATH", "warp-drive", "general"},
     {"PARSEMI_SHARD_OVERLAP", nullptr, "off"},
-    {"PARSEMI_SHARD_OVERLAP", "on", "on"},
+    {"PARSEMI_SHARD_OVERLAP", "on", "off"},  // retired value
     {"PARSEMI_SHARD_OVERLAP", "adaptive", "on"},
     {"PARSEMI_SHARD_OVERLAP", "warp-drive", "off"},
 };
@@ -363,6 +365,20 @@ INSTANTIATE_TEST_SUITE_P(
         if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
       return name;
     });
+
+TEST(EnvOverrideDispatch, GeneralBeatsAdaptiveParams) {
+  auto raw = generate_records_raw(kN, {distribution_kind::uniform, 50000}, 5);
+  semisort_params params;  // adaptive: the dense raw keys plan to counting
+  EXPECT_EQ(plan_semisort_hashed(std::span<const record>(raw), record_key{},
+                                 params)
+                .dispatch,
+            dispatch_path::counting);
+  scoped_env env("PARSEMI_DISPATCH_PATH", "general");
+  EXPECT_EQ(plan_semisort_hashed(std::span<const record>(raw), record_key{},
+                                 params)
+                .dispatch,
+            dispatch_path::general);
+}
 
 }  // namespace
 }  // namespace parsemi

@@ -174,8 +174,8 @@ TEST(ShardDriverStress, EveryTable1DistributionUnderTinyBudget) {
   }
 }
 
-// Overlapped spill I/O under perturbed schedules: with the overlap strategy
-// forced on, the in-place entry (every shard round-trips through the spill
+// Overlapped spill I/O under perturbed schedules: with the default overlap
+// strategy (on whenever ≥ 2 shards spill), the in-place entry (every shard round-trips through the spill
 // files) must stay equivalent to the unsharded run while the driver
 // prefetches shard k+1 on the I/O pool during shard k's compute. The
 // telemetry pins the overlap down: the plan records the decision and at
@@ -194,7 +194,6 @@ TEST(ShardDriverStress, OverlappedSpillUnderSchedFuzz) {
     semisort_params params;
     semisort_stats stats;
     params.stats = &stats;
-    params.shard_overlap = semisort_params::overlap_strategy::on;
     params.memory_budget_bytes =
         scratch_model{}.footprint_bytes(n, sizeof(record)) / 32;
 
