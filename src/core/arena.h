@@ -116,6 +116,11 @@ class arena {
   // the true scratch footprint of whatever ran in between.
   size_t high_water_bytes() const { return high_water_; }
   void reset_high_water() { high_water_ = live_bytes_; }
+  // Folds an enclosing frame's saved high water back in when a nested
+  // frame that reset it ends (core/pipeline_context.h's context_frame).
+  void raise_high_water(size_t bytes) {
+    high_water_ = std::max(high_water_, bytes);
+  }
 
   // Bump allocations served (cheap) vs heap blocks obtained (expensive;
   // stops growing once capacity covers the workload).

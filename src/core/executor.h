@@ -51,39 +51,24 @@ namespace internal {
 // Resolves the pipeline_context a call runs on — params.context, else a
 // stack-local one — and owns the per-call arena frame and accounting for
 // the outermost call on that context (derived operators re-enter with the
-// same context; only the outermost frame marks/rewinds the arena base and
+// same context; only the outermost frame opens a context_frame and
 // publishes the memory plan to stats via finalize()).
 class context_binding {
  public:
-  explicit context_binding(const semisort_params& params) {
-    if (params.context != nullptr) {
-      ctx_ = params.context;
-    } else {
-      local_.emplace();
-      ctx_ = &*local_;
-    }
-    owner_ = (ctx_->depth++ == 0);
-    if (owner_) {
-      base_ = ctx_->scratch.mark();
-      ctx_->scratch.reset_high_water();
+  explicit context_binding(const semisort_params& params)
+      : ctx_(params.context != nullptr ? params.context : &local_.emplace()) {
+    if (ctx_->depth == 0) {
+      frame_.emplace(*ctx_);
       alloc_snap_ = ctx_->scratch.alloc_count();
-      ctx_->timings = params.timings;
-      ctx_->stats = params.stats;
       // Snapshot the thread's fallback counter / job accounting so
       // finalize() can attribute this call's share to its stats.
       fallback_snap_ = tl_sequential_fallbacks;
       acct_ = tl_job_acct;
     }
+    ctx_->depth++;
   }
 
-  ~context_binding() {
-    if (owner_) {
-      ctx_->scratch.rewind(base_);
-      ctx_->timings = nullptr;
-      ctx_->stats = nullptr;
-    }
-    ctx_->depth--;
-  }
+  ~context_binding() { ctx_->depth--; }
 
   context_binding(const context_binding&) = delete;
   context_binding& operator=(const context_binding&) = delete;
@@ -94,7 +79,7 @@ class context_binding {
   // a derived operator's numbers cover its tag arrays plus the inner
   // semisort, not the inner call alone).
   void finalize(semisort_stats* stats) {
-    if (owner_ && stats != nullptr) {
+    if (frame_.has_value() && stats != nullptr) {
       stats->peak_scratch_bytes = ctx_->scratch.high_water_bytes();
       stats->arena_allocs = ctx_->scratch.alloc_count() - alloc_snap_;
       stats->scratch_capacity_bytes = ctx_->scratch.capacity_bytes();
@@ -107,13 +92,13 @@ class context_binding {
   }
 
  private:
+  // Declared in this order so the frame rewinds before a local context dies.
   std::optional<pipeline_context> local_;
   pipeline_context* ctx_ = nullptr;
+  std::optional<context_frame> frame_;
   job_accounting* acct_ = nullptr;
-  arena::checkpoint base_;
   size_t alloc_snap_ = 0;
   uint64_t fallback_snap_ = 0;
-  bool owner_ = false;
 };
 
 // Ships a whole operator call onto `params.pool` when the calling thread

@@ -1,25 +1,26 @@
 // pipeline_context — the per-call spine threaded through every semisort
-// phase and derived operator: one arena (the memory plan), one rng stream,
-// and the borrowed telemetry sinks (phase timer + stats).
+// phase, derived operator and the shard driver: one arena (the memory
+// plan), one rng stream, and the shard driver's spill run.
 //
 // Ownership model: a context outlives calls, not the other way around.
 // Callers that semisort repeatedly construct one pipeline_context and pass
 // it via `semisort_params::context`; after warm-up every call's scratch is
-// served from the arena's retained capacity — zero heap allocations. Calls
-// without a context get a stack-local one and pay fresh-allocation cost,
-// exactly like the pre-arena code did.
+// served from the arena's retained capacity — zero heap allocations — and
+// a budgeted in-place call writes its partition into the spill run the
+// context already maps. Calls without a context get a stack-local one and
+// pay fresh-allocation cost, exactly like the pre-arena code did.
 //
 // Not thread-safe: one context per concurrent semisort call (concurrent
 // calls each take their own).
 #pragma once
 
+#include <utility>
+
 #include "core/arena.h"
+#include "shard/spill_file.h"
 #include "util/rng.h"
-#include "util/timer.h"
 
 namespace parsemi {
-
-struct semisort_stats;  // core/params.h
 
 // Scratch-requirement estimate for one in-memory semisort run — the memory
 // model the shard planner (shard/shard_plan.h) sizes shard record counts
@@ -72,13 +73,47 @@ struct pipeline_context {
   // Las-Vegas retries thereby draw fresh randomness.
   rng base{0};
 
-  // Borrowed from semisort_params for the duration of one call.
-  phase_timer* timings = nullptr;
-  semisort_stats* stats = nullptr;
+  // The shard driver's in-place partition run (shard/shard_driver.h). It
+  // is created by the first budgeted in-place call, replaced by a larger
+  // one only when a call needs more bytes, and holds its disk space until
+  // the context dies.
+  spill_file spill;
 
   // Re-entrancy depth (derived operators call semisort_hashed with the same
   // context); only the outermost frame owns high-water/alloc accounting.
   int depth = 0;
+};
+
+// One self-contained frame on a context, at any depth: it marks the arena
+// and rewinds it on exit, measures its own high water, and runs at depth 0,
+// so every call nested in it is an outermost call that rewinds its own
+// arena frame and publishes its own stats. On exit the enclosing frame's
+// depth comes back, and its high water becomes the max of both. The
+// outermost call of every entry point runs in one (core/executor.h's
+// context_binding), and so does the shard driver, at whatever depth it
+// was entered.
+class context_frame {
+ public:
+  explicit context_frame(pipeline_context& ctx)
+      : ctx_(ctx),
+        base_(ctx.scratch.mark()),
+        high_water_(ctx.scratch.high_water_bytes()),
+        depth_(std::exchange(ctx.depth, 0)) {
+    ctx.scratch.reset_high_water();
+  }
+  ~context_frame() {
+    ctx_.scratch.rewind(base_);
+    ctx_.scratch.raise_high_water(high_water_);
+    ctx_.depth = depth_;
+  }
+  context_frame(const context_frame&) = delete;
+  context_frame& operator=(const context_frame&) = delete;
+
+ private:
+  pipeline_context& ctx_;
+  arena::checkpoint base_;
+  size_t high_water_;
+  int depth_;
 };
 
 }  // namespace parsemi

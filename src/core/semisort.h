@@ -77,7 +77,8 @@ namespace internal {
 //
 // The sharded routing decision is made *before* the context binding: it is
 // a sequential sample (shard/shard_plan.h) that needs no pipeline context,
-// and the shard driver owns its own contexts. A sharded plan that came
+// and the shard driver opens its own frame on the caller's context (spill
+// run, partition and every shard's engine frame). A sharded plan that came
 // back with ≤ 1 shard (everything fit after all, or one dominant prefix
 // cannot be split) falls back to the in-memory engine with the budget
 // lifted — a fresh plan, so the fallback's own probe still runs.

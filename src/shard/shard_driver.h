@@ -12,12 +12,14 @@
 //                every record to its shard's contiguous range. The
 //                destination is the caller's `out` storage when it is
 //                distinct from `in`; when the call is in-place the
-//                partition writes an mmap-backed spill run (spill_file.h)
-//                instead — the kernel pages it to disk under pressure,
-//                which is what keeps the resident set near the budget.
+//                partition writes the context's mmap-backed spill run
+//                (spill_file.h) instead — the kernel pages it to disk under
+//                pressure, which is what keeps the resident set near the
+//                budget.
 //   2. execute — each shard runs the unchanged in-memory engine through the
-//                existing worker_pool, with one reused pipeline_context so
-//                shards after the first perform zero heap allocations.
+//                existing worker_pool, as an outermost call on the same
+//                pipeline_context, so shards after the first perform zero
+//                heap allocations.
 //   3. concat  — nothing to do: shards are contiguous prefix ranges placed
 //                back-to-back in `out`, so the concatenation is implicit
 //                and every key's group is globally contiguous.
@@ -30,8 +32,19 @@
 // shard k — and joins that job before consuming run k+1. With overlap off
 // (plan or PARSEMI_SHARD_OVERLAP=off) the driver falls back to the plain
 // async WILLNEED hint. Either way each consumed run is dropped (DONTNEED)
-// so it stops competing with the budgeted working set. Overlapped
-// prefetches are counted in stats.overlapped_prefetches.
+// so it stops competing with the budgeted working set; the file itself
+// stays mapped in the context for the next call. Overlapped prefetches are
+// counted in stats.overlapped_prefetches.
+//
+// Memory plan: the driver runs on the caller's pipeline_context
+// (params.context), else on a call-local one. The context keeps the spill
+// run across calls and replaces it only when a call needs more bytes, so a
+// warm in-place call neither creates nor first-touches a fresh file. The
+// partition's count matrix and starts and every shard's engine frame come
+// from the context's arena, inside one context_frame
+// (core/pipeline_context.h), so the driver nests correctly at any context
+// depth — the tag spine enters it at depth 1 when an operator runs under a
+// budget.
 //
 // The budget is enforced w.h.p., not absolutely: the plan packs shards from
 // a sampled histogram with headroom, and a single dominant hash prefix
@@ -115,7 +128,6 @@ void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
   semisort_params inner = params;
   inner.memory_budget_bytes = SIZE_MAX;
   inner.timings = nullptr;
-  inner.context = nullptr;
   inner.plan = nullptr;
 
   run_with_pool_override(params, [&] {
@@ -126,32 +138,41 @@ void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
       publish_plan(params.stats, plan, /*reused=*/params.plan != nullptr);
     }
 
-    // Partition destination: reuse `out` when it is separate storage; spill
-    // to an mmap-backed run when the call is in-place.
-    spill_file spill;
-    std::span<Record> part;
+    // The caller's context, else a call-local one. The driver's frame puts
+    // the context at depth 0, so each shard's engine call below is an
+    // outermost call on it: it rewinds its own arena frame and publishes
+    // its own stats, whatever depth the driver was entered at.
+    std::optional<pipeline_context> local;
+    pipeline_context& ctx =
+        params.context != nullptr ? *params.context : local.emplace();
+    context_frame frame(ctx);
+    inner.context = &ctx;
+
+    // Partition destination: reuse `out` when it is separate storage; when
+    // the call is in-place, use the context's spill run, replaced by a
+    // larger one only when this call needs more bytes.
+    std::span<Record> part = out;
+    spill_file& spill = ctx.spill;
     if (aliased) {
-      spill = spill_file(n * kRecordBytes);
+      spill.grow_to(n * kRecordBytes);
       spill.advise_sequential();
       part = spill.as_span<Record>().first(n);
-    } else {
-      part = out;
     }
     if (pt != nullptr) pt->record("shard plan");
 
     // Stable partition by shard id: shard_begin[s] is where shard s's
-    // contiguous range starts, shard_begin[S] == n.
-    arena part_scratch;
+    // contiguous range starts, shard_begin[S] == n. The starts live in the
+    // driver's frame, under every shard's.
     std::span<const size_t> shard_begin = counting_distribute(
         n, S, [&](size_t i) { return sp.shard_of_key(get_key(in[i])); },
-        [&](size_t i, size_t pos) { part[pos] = in[i]; }, part_scratch);
+        [&](size_t i, size_t pos) { part[pos] = in[i]; }, ctx.scratch);
     if (pt != nullptr) pt->record("partition");
 
     // Overlapped spill I/O: a dedicated one-worker pool faults the next
     // shard's run in while the compute pool works on the current one. The
-    // gateway (and its pending handle) must be destroyed before `spill`,
-    // so they are declared after it — destruction order joins every I/O
-    // job before the mapping goes away.
+    // gateway (and its pending handle) are destroyed before this call
+    // returns, which joins every I/O job before a later call can replace
+    // the run.
     const bool overlap = plan.overlap_io && aliased && S >= 2;
     std::optional<worker_pool> io_pool;
     std::optional<job_gateway> io_gateway;
@@ -177,10 +198,9 @@ void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
       });
     };
 
-    // Execute the in-memory engine shard by shard. One reused context: the
-    // first shard warms the arena, the rest run allocation-free.
-    pipeline_context shard_ctx;
-    inner.context = &shard_ctx;
+    // Execute the in-memory engine shard by shard on the context: the
+    // first shard of a cold context grows the arena, every later shard (and
+    // call) runs in its retained capacity.
     semisort_stats shard_stats;
     inner.stats = params.stats != nullptr ? &shard_stats : nullptr;
     semisort_stats agg{};
@@ -227,12 +247,11 @@ void execute_sharded_plan(std::span<const Record> in, std::span<Record> out,
       st.shards = S;
       st.spilled_bytes = aliased ? n * kRecordBytes : 0;
       st.overlapped_prefetches = overlapped;
-      // The call's resident scratch is one engine's working set (shards are
-      // sequential) plus the driver's partition matrix.
-      st.peak_scratch_bytes = std::max(agg.shard_peak_scratch_bytes,
-                                       part_scratch.high_water_bytes());
-      st.scratch_capacity_bytes = shard_ctx.scratch.capacity_bytes() +
-                                  part_scratch.capacity_bytes();
+      // The call's resident scratch: the frame's high water, i.e. the
+      // partition starts plus the largest shard frame (shards run one after
+      // another, each rewinding its frame, on the one arena).
+      st.peak_scratch_bytes = ctx.scratch.high_water_bytes();
+      st.scratch_capacity_bytes = ctx.scratch.capacity_bytes();
     }
   });
 }

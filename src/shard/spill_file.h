@@ -1,5 +1,8 @@
 // spill_file — an mmap-backed anonymous temp-file run for out-of-core
-// execution (shard/shard_driver.h).
+// execution (shard/shard_driver.h). The driver's run is owned by the
+// caller's pipeline_context: it is created by the first budgeted in-place
+// call, reused by later ones, replaced only when a call needs a larger
+// run, and keeps its disk space until the context is destroyed.
 //
 // The file is created with mkstemp under PARSEMI_SPILL_DIR (else TMPDIR,
 // else /tmp) and unlinked *immediately*: the mapping is the only handle, so
@@ -14,7 +17,8 @@
 // run hold its working set while the spilled runs wait on disk. The madvise
 // helpers let the shard driver overlap I/O with compute (prefetch the next
 // shard's run while the pool semisorts the current one) and drop runs it
-// has finished with.
+// has finished with (its pages leave the resident set; the file keeps them,
+// and the next call writes over them).
 #pragma once
 
 #include <fcntl.h>
@@ -101,6 +105,16 @@ class spill_file {
     advise(offset, bytes, MADV_DONTNEED);
   }
   void advise_sequential() const { advise(0, size_, MADV_SEQUENTIAL); }
+
+  // Makes the run hold at least `bytes`. A large enough run is kept as it
+  // is; a smaller one is unmapped first (so the old and new files never
+  // hold disk space at once) and replaced by a fresh file of exactly
+  // `bytes`, which invalidates every view into the old run.
+  void grow_to(size_t bytes) {
+    if (bytes <= size_) return;
+    reset();
+    *this = spill_file(bytes);
+  }
 
   // Unmaps (and thereby frees) the run early; the object becomes empty.
   void reset() {

@@ -254,6 +254,53 @@ TEST(AllocRegression, SteadyStateInplaceSemisortMakesZeroHeapAllocations) {
   }
 }
 
+TEST(AllocRegression, WarmShardedInplaceCallsReuseArenaAndSpillRun) {
+  // A budgeted in-place call that splits into shards runs on the caller's
+  // context: once warm, its arena takes no new heap block and the spill run
+  // keeps its mapping. The route still makes a few small heap allocations
+  // per call (the shard plan's tables, the I/O-overlap worker), recorded
+  // as the test property heap_allocs_per_warm_call.
+  size_t n = 200000;
+  auto base_input =
+      generate_records(n, {distribution_kind::exponential, 1000}, 45);
+  std::vector<record> data(n);
+
+  pipeline_context ctx;
+  semisort_stats stats;
+  semisort_params params;
+  params.context = &ctx;
+  params.stats = &stats;
+  // Above the model's fixed floor, so every shard runs the real engine.
+  scratch_model model;
+  params.memory_budget_bytes =
+      model.fixed_bytes +
+      (model.footprint_bytes(n, sizeof(record)) - model.fixed_bytes) / 6;
+
+  auto call = [&] {
+    std::copy(base_input.begin(), base_input.end(), data.begin());
+    semisort_hashed_inplace(std::span<record>(data), record_key{}, params);
+  };
+  for (int round = 0; round < 2; ++round) call();
+  ASSERT_GE(stats.shards, 2u);
+  ASSERT_EQ(ctx.spill.size(), n * sizeof(record));
+  const std::byte* run = ctx.spill.data();
+  size_t blocks = ctx.scratch.heap_block_count();
+
+  constexpr int kWarmCalls = 5;
+  size_t allocs = 0;
+  for (int round = 0; round < kWarmCalls; ++round) {
+    size_t before = heap_allocs();
+    call();
+    allocs += heap_allocs() - before;
+    EXPECT_TRUE(testing::valid_semisort(data, base_input)) << round;
+    EXPECT_EQ(ctx.scratch.heap_block_count(), blocks) << round;
+    EXPECT_EQ(ctx.spill.data(), run) << round;
+    EXPECT_EQ(ctx.spill.size(), n * sizeof(record)) << round;
+  }
+  RecordProperty("heap_allocs_per_warm_call",
+                 static_cast<int>(allocs / kWarmCalls));
+}
+
 TEST(AllocRegression, DerivedOperatorAllocatesOnlyItsResults) {
   // group_by_index runs the tag spine on the shared context; in steady
   // state its only heap allocations are the two result vectors it returns.

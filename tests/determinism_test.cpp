@@ -36,26 +36,9 @@
 namespace parsemi {
 namespace {
 
-// 128-byte record: the key word first, the source record's payload
-// smeared over the rest so any misplaced byte shows in the comparison.
-struct wide_record {
-  uint64_t key;
-  uint64_t pad[15];
-};
-static_assert(sizeof(wide_record) == 128);
-
-struct wide_key {
-  uint64_t operator()(const wide_record& r) const { return r.key; }
-};
-
-std::vector<wide_record> widen(const std::vector<record>& in) {
-  std::vector<wide_record> out(in.size());
-  for (size_t i = 0; i < in.size(); ++i) {
-    out[i].key = in[i].key;
-    for (size_t j = 0; j < 15; ++j) out[i].pad[j] = in[i].payload + j;
-  }
-  return out;
-}
+using testing::wide_key;
+using testing::wide_record;
+using testing::widen;
 
 template <typename Record>
 bool same_bytes(const std::vector<Record>& a, const std::vector<Record>& b) {
@@ -66,17 +49,21 @@ bool same_bytes(const std::vector<Record>& a, const std::vector<Record>& b) {
 // Runs both entry points on `in` at 1, 2 and 4 workers; every output must
 // equal the 1-worker output of the same entry point byte for byte. A
 // nonzero `memory_budget` routes both entries through the shard driver,
-// which must then actually split the input.
+// which must then actually split the input. A non-null `ctx` runs every
+// call on that one context, so all but the first run on a warm arena and,
+// in place, on a reused spill run.
 template <typename Record, typename GetKey>
 void expect_worker_count_invariant(const std::vector<Record>& in,
                                    GetKey get_key, const std::string& cell,
-                                   size_t memory_budget = 0) {
+                                   size_t memory_budget = 0,
+                                   pipeline_context* ctx = nullptr) {
   std::vector<Record> ref_out, ref_inplace;
   for (int workers : {1, 2, 4}) {
     worker_pool pool(workers);
     semisort_params params;
     params.pool = &pool;
     params.memory_budget_bytes = memory_budget;
+    params.context = ctx;
     semisort_stats stats;
     if (memory_budget != 0) params.stats = &stats;
 
@@ -126,8 +113,11 @@ TEST(Determinism, DefaultRoutesAreByteIdenticalAcrossWorkerCounts) {
 // The sharded route: a budget of 1/8 of the in-memory footprint splits the
 // input into several shards — the stable partition into shard ranges, then
 // the in-memory engine per shard, through `out` (copying entry) and
-// through an mmap spill run (in-place entry).
+// through an mmap spill run (in-place entry). One context serves every
+// cell, worker count and entry point, so later calls reuse its arena and
+// spill run.
 TEST(Determinism, ShardedRouteIsByteIdenticalAcrossWorkerCounts) {
+  pipeline_context ctx;
   for (size_t n : {size_t{20'000}, size_t{200'000}}) {
     for (uint64_t keys : {uint64_t{0}, uint64_t{1000}}) {
       distribution_spec spec{distribution_kind::uniform,
@@ -137,10 +127,10 @@ TEST(Determinism, ShardedRouteIsByteIdenticalAcrossWorkerCounts) {
                          " keys=" + std::to_string(spec.parameter);
       expect_worker_count_invariant(
           in, record_key{}, cell + " 16B",
-          scratch_model{}.footprint_bytes(n, sizeof(record)) / 8);
+          scratch_model{}.footprint_bytes(n, sizeof(record)) / 8, &ctx);
       expect_worker_count_invariant(
           widen(in), wide_key{}, cell + " 128B",
-          scratch_model{}.footprint_bytes(n, sizeof(wide_record)) / 8);
+          scratch_model{}.footprint_bytes(n, sizeof(wide_record)) / 8, &ctx);
     }
   }
 }

@@ -53,13 +53,6 @@ semisort_stats run_semisort(const std::vector<record>& in, strategy s) {
   return stats;
 }
 
-// 128-byte record.
-struct wide_record {
-  uint64_t key;
-  uint64_t pad[15];
-};
-static_assert(sizeof(wide_record) == 128);
-
 TEST(ScatterSelect, DefaultRunsBlockedAtEveryShape) {
   // Small n, few records per bucket, and (below) large records: the
   // default ignores the input's shape.
@@ -79,20 +72,17 @@ TEST(ScatterSelect, DefaultRunsBlockedAtEveryShape) {
   // Large records.
   auto base = generate_records(65'536, {distribution_kind::uniform, 65'536},
                                22);
-  std::vector<wide_record> in(base.size()), out(base.size());
-  for (size_t i = 0; i < base.size(); ++i) {
-    in[i] = {};
-    in[i].key = base[i].key;
-    in[i].pad[0] = base[i].payload;
-  }
+  std::vector<testing::wide_record> in = testing::widen(base);
+  std::vector<testing::wide_record> out(in.size());
   semisort_params params;
   semisort_stats stats;
   params.stats = &stats;
-  auto key = [](const wide_record& r) { return r.key; };
-  semisort_hashed(std::span<const wide_record>(in),
-                  std::span<wide_record>(out), key, params);
+  semisort_hashed(std::span<const testing::wide_record>(in),
+                  std::span<testing::wide_record>(out), testing::wide_key{},
+                  params);
   EXPECT_EQ(stats.scatter_path_used, scatter_path::blocked);
-  EXPECT_TRUE(testing::is_semisorted(std::span<const wide_record>(out), key));
+  EXPECT_TRUE(testing::is_semisorted(
+      std::span<const testing::wide_record>(out), testing::wide_key{}));
 }
 
 TEST(ScatterSelect, TelemetryIsPathConditional) {

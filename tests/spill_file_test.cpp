@@ -136,6 +136,27 @@ TEST_F(SpillFileTest, ResetReleasesEarly) {
   f.reset();  // idempotent
 }
 
+TEST_F(SpillFileTest, GrowToKeepsALargeEnoughRun) {
+  spill_file f;
+  f.grow_to(1 << 16);  // an empty run grows like a fresh one
+  ASSERT_TRUE(f.valid());
+  EXPECT_EQ(f.size(), 1u << 16);
+  std::byte* p = f.data();
+  f.as_span<uint64_t>()[0] = 5;
+
+  f.grow_to(1 << 12);  // smaller: the same mapping, data intact
+  EXPECT_EQ(f.data(), p);
+  EXPECT_EQ(f.size(), 1u << 16);
+  EXPECT_EQ(f.as_span<uint64_t>()[0], 5u);
+
+  size_t fds = open_fd_count();
+  f.grow_to(1 << 20);  // larger: a fresh run of exactly that size
+  EXPECT_EQ(f.size(), 1u << 20);
+  EXPECT_EQ(f.as_span<uint64_t>()[(1 << 20) / 8 - 1], 0u);
+  EXPECT_EQ(open_fd_count(), fds);
+  EXPECT_EQ(dir_entry_count(dir_), 0u);
+}
+
 TEST_F(SpillFileTest, ZeroSizeIsEmptyAndSafe) {
   spill_file f(0);
   EXPECT_FALSE(f.valid());

@@ -13,6 +13,27 @@
 
 namespace parsemi::testing {
 
+// 128-byte record: the key word first, the source record's payload
+// smeared over the rest so any misplaced byte shows in a comparison.
+struct wide_record {
+  uint64_t key;
+  uint64_t pad[15];
+};
+static_assert(sizeof(wide_record) == 128);
+
+struct wide_key {
+  uint64_t operator()(const wide_record& r) const { return r.key; }
+};
+
+inline std::vector<wide_record> widen(const std::vector<record>& in) {
+  std::vector<wide_record> out(in.size());
+  for (size_t i = 0; i < in.size(); ++i) {
+    out[i].key = in[i].key;
+    for (size_t j = 0; j < 15; ++j) out[i].pad[j] = in[i].payload + j;
+  }
+  return out;
+}
+
 // Multiset equality: `out` contains exactly the records of `in`.
 template <typename T>
 bool is_permutation_of(std::span<const T> out, std::span<const T> in,
